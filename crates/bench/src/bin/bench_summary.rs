@@ -338,7 +338,6 @@ fn blob_lsh_with(disable_elision: bool) -> LshDdp {
     blob_lsh_cfg(PipelineConfig {
         map_tasks: 8,
         reduce_tasks: 8,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision,
@@ -414,7 +413,7 @@ fn recovery_overhead(n_per_blob: usize) -> RecoveryBench {
             .into_iter()
             .all(|p| chaos.task_wastage(p, t).is_some())
     }) {
-        chaos.fault.max_attempts += 1;
+        chaos.max_attempts += 1;
     }
 
     let clean = blob_lsh_cfg(base);

@@ -21,24 +21,21 @@ pub struct PipelineConfig {
     pub map_tasks: usize,
     /// Reduce tasks per job (0 = one per hardware thread).
     pub reduce_tasks: usize,
-    /// Optional task-failure injection applied to every job of the
-    /// pipeline — end-to-end fault-tolerance testing (retried attempts
-    /// are invisible in results and counted in
-    /// [`mapreduce::JobMetrics::task_retries`]).
-    #[serde(default)]
-    pub fault: Option<mapreduce::FaultPlan>,
-    /// Restricts [`Self::fault`] to the single named stage (see
+    /// Restricts [`Self::chaos`] to the single named stage (see
     /// [`Self::job_config_for`]). The failure schedule is a pure
     /// function of `(seed, phase, task, attempt)` with no job identity,
     /// so an unrestricted doomed plan always dies at the *first* stage —
     /// kill-and-restart drills scope the doom to a later stage with this
-    /// so earlier stages complete (and checkpoint) first. `None` applies
-    /// the fault everywhere.
+    /// so earlier stages complete (and checkpoint) first. Only stages
+    /// that take their config from [`Self::job_config_for`] (LSH-DDP's
+    /// plan stages) honour the scope. `None` applies the plan everywhere.
     #[serde(with = "fault_stage_serde", default)]
     pub fault_stage: Option<&'static str>,
-    /// Optional full chaos injection (crashes + stragglers + corruption +
-    /// partition loss) applied to every job of the pipeline. Takes
-    /// precedence over [`Self::fault`] when both are set.
+    /// Optional fault injection (crashes + stragglers + corruption +
+    /// partition loss) applied to every job of the pipeline, or only to
+    /// [`Self::fault_stage`] when that is set. Retried attempts are
+    /// invisible in results and counted in
+    /// [`mapreduce::JobMetrics::task_retries`].
     #[serde(default)]
     pub chaos: Option<mapreduce::ChaosPlan>,
     /// Disables the scheduler's co-partitioned shuffle elision (see
@@ -100,29 +97,19 @@ impl PipelineConfig {
             } else {
                 self.reduce_tasks
             },
-            fault: self.fault,
             chaos: self.chaos,
         }
     }
 
     /// [`Self::job_config`] scoped to the stage named `stage`: when
-    /// [`Self::fault_stage`] names a different stage, the fault plan is
-    /// stripped so only the targeted stage can die. Chaos plans are
-    /// unaffected (they model environment-wide weather, not a drill).
+    /// [`Self::fault_stage`] names a different stage, the chaos plan is
+    /// stripped so only the targeted stage can fail.
     pub fn job_config_for(&self, stage: &str) -> JobConfig {
         let mut cfg = self.job_config();
-        if let Some(only) = self.fault_stage {
-            if only != stage {
-                cfg.fault = None;
-            }
+        if self.fault_stage.is_some_and(|only| only != stage) {
+            cfg.chaos = None;
         }
         cfg
-    }
-
-    /// The effective chaos plan (explicit [`Self::chaos`], else
-    /// [`Self::fault`] lifted to a crash-only plan, else `None`).
-    pub fn effective_chaos(&self) -> Option<mapreduce::ChaosPlan> {
-        self.chaos.or(self.fault.map(mapreduce::ChaosPlan::from))
     }
 
     /// A plan scheduler configured by this pipeline config: elision on
@@ -493,6 +480,35 @@ mod tests {
         };
         let jc = cfg.job_config();
         assert_eq!((jc.map_tasks, jc.reduce_tasks), (3, 5));
+    }
+
+    #[test]
+    fn fault_stage_strips_chaos_from_every_other_stage() {
+        let plan = mapreduce::ChaosPlan::new(300, 4).with_corruption(100);
+        let scoped = PipelineConfig {
+            chaos: Some(plan),
+            fault_stage: Some("lsh/delta-aggregate"),
+            ..Default::default()
+        };
+        for other in [
+            "dc-sample",
+            "lsh/rho-local",
+            "lsh/rho-aggregate",
+            "lsh/delta-local",
+        ] {
+            assert!(scoped.job_config_for(other).chaos.is_none(), "{other}");
+        }
+        let target = scoped.job_config_for("lsh/delta-aggregate").chaos;
+        assert_eq!(
+            target.map(|c| (c.seed, c.corrupt_per_mille)),
+            Some((4, 100))
+        );
+        // Unscoped, every stage gets the plan.
+        let everywhere = PipelineConfig {
+            fault_stage: None,
+            ..scoped
+        };
+        assert!(everywhere.job_config_for("lsh/rho-local").chaos.is_some());
     }
 
     #[test]

@@ -471,14 +471,14 @@ impl LshDdp {
         )
     }
 
-    /// Which layouts the effective chaos plan declares permanently lost.
+    /// Which layouts the pipeline's chaos plan declares permanently lost.
     ///
     /// # Panics
     /// Panics when *every* layout is lost — with no surviving layout there
     /// is nothing to aggregate and no principled degraded answer.
     fn lost_layouts(&self) -> Arc<Vec<bool>> {
         let m = self.config.params.m;
-        let lost: Vec<bool> = match self.config.pipeline.effective_chaos() {
+        let lost: Vec<bool> = match self.config.pipeline.chaos {
             Some(c) => (0..m)
                 .map(|i| c.loses_partition(LAYOUT_LOSS_SCOPE, i))
                 .collect(),

@@ -51,8 +51,24 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// Parses one coordinate, rejecting `NaN` and infinities: every distance
+/// the clustering takes through such a value is meaningless.
+fn parse_finite(field: &str, lineno: usize) -> Result<f64, IoError> {
+    let v: f64 = field
+        .parse()
+        .map_err(|e| IoError::Parse(lineno, format!("bad number {field:?}: {e}")))?;
+    if !v.is_finite() {
+        return Err(IoError::Parse(
+            lineno,
+            format!("non-finite value {field:?}"),
+        ));
+    }
+    Ok(v)
+}
+
 /// Parses CSV text into a dataset; when `labeled`, the last column is an
-/// integer ground-truth label. Blank lines and `#` comments are skipped.
+/// integer ground-truth label. Blank lines and `#` comments are skipped;
+/// `NaN` and infinite values are an error.
 pub fn parse_csv<R: Read>(reader: R, labeled: bool) -> Result<LabeledDataset, IoError> {
     let reader = BufReader::new(reader);
     let mut data: Option<Dataset> = None;
@@ -67,11 +83,7 @@ pub fn parse_csv<R: Read>(reader: R, labeled: bool) -> Result<LabeledDataset, Io
         }
         row.clear();
         for field in line.split(',') {
-            let v: f64 = field
-                .trim()
-                .parse()
-                .map_err(|e| IoError::Parse(lineno, format!("bad number {field:?}: {e}")))?;
-            row.push(v);
+            row.push(parse_finite(field.trim(), lineno)?);
         }
         let (coords, label) = if labeled {
             if row.len() < 2 {
@@ -111,7 +123,7 @@ pub fn read_csv(path: impl AsRef<Path>, labeled: bool) -> Result<LabeledDataset,
 /// Parses UCI/libsvm-style sparse rows: `label idx:val idx:val ...` with
 /// 1-based feature indices. `dim` fixes the dense width (features beyond
 /// it are an error; absent features are 0). Labels must be non-negative
-/// integers (remap classes beforehand).
+/// integers (remap classes beforehand); values must be finite.
 pub fn parse_libsvm<R: Read>(reader: R, dim: usize) -> Result<LabeledDataset, IoError> {
     assert!(dim > 0, "dim must be positive");
     let reader = BufReader::new(reader);
@@ -147,10 +159,7 @@ pub fn parse_libsvm<R: Read>(reader: R, dim: usize) -> Result<LabeledDataset, Io
                     format!("feature index {idx} outside 1..={dim}"),
                 ));
             }
-            let val: f64 = val_s
-                .parse()
-                .map_err(|e| IoError::Parse(lineno, format!("bad value {val_s:?}: {e}")))?;
-            row[idx - 1] = val;
+            row[idx - 1] = parse_finite(val_s, lineno)?;
         }
         data.push(&row);
         labels.push(label as u32);
@@ -233,6 +242,13 @@ mod tests {
             parse_csv("1.0,2.0,0.5\n".as_bytes(), true),
             Err(IoError::Parse(1, _))
         ));
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            let text = format!("1.0,2.0\n3.0,{bad}\n");
+            match parse_csv(text.as_bytes(), false) {
+                Err(IoError::Parse(2, msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -267,6 +283,14 @@ mod tests {
         assert!(matches!(
             parse_libsvm("1 1-2\n".as_bytes(), 2),
             Err(IoError::Parse(1, _))
+        ));
+        assert!(matches!(
+            parse_libsvm("1 1:1.0\n0 2:NaN\n".as_bytes(), 2),
+            Err(IoError::Parse(2, msg)) if msg.contains("non-finite")
+        ));
+        assert!(matches!(
+            parse_libsvm("1 1:-inf\n".as_bytes(), 2),
+            Err(IoError::Parse(1, msg)) if msg.contains("non-finite")
         ));
     }
 

@@ -1,11 +1,12 @@
-//! The hashing machinery: single functions, groups of `pi`, and `M`-layout
-//! multi-hashing.
+//! The hashing machinery: single functions, groups of `pi`, `M`-layout
+//! multi-hashing, and the per-layout bucket tables built from it.
 
 use crate::tuning::LshParams;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use rand_distr::StandardNormal;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// A group signature: the `pi` hash values `[h_1(p), ..., h_pi(p)]` that
 /// identify a point's partition within one layout (paper Definition 2).
@@ -142,6 +143,32 @@ impl MultiLsh {
     }
 }
 
+/// Builds one bucket table per layout: `tables[m]` maps each signature
+/// under layout `m` to the ids (enumeration order, as `u32`) of the points
+/// hashing to it.
+///
+/// This is the query-time half of the paper's partitioning, factored out
+/// so consumers that already own the point storage (the serving layer's
+/// `ClusterModel`, the ingest session) can rebuild the tables from a
+/// [`MultiLsh`] without copying their points into a second container.
+///
+/// # Panics
+/// Debug-asserts each point's dimensionality matches `multi`.
+pub fn bucket_tables<'a, I>(multi: &MultiLsh, points: I) -> Vec<HashMap<Signature, Vec<u32>>>
+where
+    I: IntoIterator<Item = &'a [f64]>,
+{
+    let mut tables: Vec<HashMap<Signature, Vec<u32>>> =
+        (0..multi.layouts()).map(|_| HashMap::new()).collect();
+    for (i, p) in points.into_iter().enumerate() {
+        debug_assert_eq!(p.len(), multi.dim(), "point dim mismatch");
+        for (m, sig) in multi.signatures(p).into_iter().enumerate() {
+            tables[m].entry(sig).or_default().push(i as u32);
+        }
+    }
+    tables
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,5 +294,28 @@ mod tests {
         let h = LshFunction::sample(3, 2.5, &mut rng);
         let p = [0.3, 1.1, -0.7];
         assert_eq!(h.hash(&p), (h.project(&p) / h.width()).floor() as i64);
+    }
+
+    #[test]
+    fn bucket_tables_group_identical_points_under_every_layout() {
+        // A 10x10 grid, spacing 1.0.
+        let pts: Vec<Vec<f64>> = (0..100)
+            .map(|i| vec![(i / 10) as f64, (i % 10) as f64])
+            .collect();
+        let multi = MultiLsh::new(2, &params(12, 2, 4.0), 9);
+        let tables = bucket_tables(&multi, pts.iter().map(Vec::as_slice));
+        assert_eq!(tables.len(), 12);
+        for (m, table) in tables.iter().enumerate() {
+            // Every point appears exactly once per layout, in its own bucket.
+            let total: usize = table.values().map(Vec::len).sum();
+            assert_eq!(total, pts.len());
+            for (i, p) in pts.iter().enumerate() {
+                let sig = multi.signature(m, p);
+                assert!(
+                    table[&sig].contains(&(i as u32)),
+                    "point {i} missing from its layout-{m} bucket"
+                );
+            }
+        }
     }
 }

@@ -39,11 +39,9 @@
 //! ```
 
 pub mod hash;
-pub mod knn;
 pub mod prob;
 pub mod statmath;
 pub mod tuning;
 
-pub use hash::{HashGroup, LshFunction, MultiLsh, Signature};
-pub use knn::{bucket_tables, LshIndex};
+pub use hash::{bucket_tables, HashGroup, LshFunction, MultiLsh, Signature};
 pub use tuning::LshParams;

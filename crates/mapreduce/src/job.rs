@@ -1,9 +1,9 @@
 //! Job configuration and execution: map → (combine) → shuffle → sort/group
 //! → reduce, with every phase running on the Rayon thread pool.
 
-use crate::counters::{Counters, JobMetrics, TaskTimes};
+use crate::counters::{JobMetrics, TaskTimes};
 use crate::driver::MemoryGovernor;
-use crate::fault::{ChaosPlan, FaultPlan, Phase};
+use crate::fault::{ChaosPlan, Phase};
 use crate::record::ShuffleSize;
 use crate::spill::{FrameMeta, SpillSegment, SpilledRows};
 use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
@@ -87,12 +87,9 @@ pub struct JobConfig {
     pub map_tasks: usize,
     /// Number of reduce tasks (hash-partition buckets).
     pub reduce_tasks: usize,
-    /// Optional deterministic task-failure injection (retried
-    /// transparently; see [`FaultPlan`]).
-    pub fault: Option<FaultPlan>,
-    /// Optional full chaos injection — failures plus stragglers,
-    /// corruption, and partition loss (see [`ChaosPlan`]). Takes
-    /// precedence over `fault` when both are set.
+    /// Optional deterministic fault injection — task failures plus
+    /// stragglers, corruption, and partition loss, recovered
+    /// transparently (see [`ChaosPlan`]).
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -102,7 +99,6 @@ impl Default for JobConfig {
         JobConfig {
             map_tasks: n,
             reduce_tasks: n,
-            fault: None,
             chaos: None,
         }
     }
@@ -115,7 +111,6 @@ impl JobConfig {
         JobConfig {
             map_tasks: n,
             reduce_tasks: n,
-            fault: None,
             chaos: None,
         }
     }
@@ -136,9 +131,6 @@ where
     combiner: Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
     partitioner: Box<dyn Partitioner<M::OutKey>>,
     config: JobConfig,
-    counters: Option<Counters>,
-    fault_plan: Option<FaultPlan>,
-    chaos_plan: Option<ChaosPlan>,
     spill: Option<SpillCtx>,
 }
 
@@ -176,9 +168,6 @@ where
             combiner: None,
             partitioner: Box::new(HashPartitioner),
             config: JobConfig::default(),
-            counters: None,
-            fault_plan: None,
-            chaos_plan: None,
             spill: None,
         }
     }
@@ -217,32 +206,6 @@ where
             "task counts must be positive"
         );
         self.config = config;
-        self
-    }
-
-    /// Attaches user counters whose snapshot is included in the job's
-    /// metrics.
-    pub fn counters(mut self, counters: Counters) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
-    /// Enables deterministic task-failure injection with retries —
-    /// MapReduce's fault-tolerance path. Failed attempts re-run the task
-    /// (paying its cost again) and are counted in
-    /// [`JobMetrics::task_retries`]; a task exhausting its attempts kills
-    /// the job, like Hadoop.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Enables full deterministic chaos injection: crash failures plus
-    /// straggler delays (answered by speculative re-execution) and
-    /// checksum-detected record corruption. Wins over
-    /// [`JobBuilder::fault_plan`] and both config-level plans.
-    pub fn chaos_plan(mut self, plan: ChaosPlan) -> Self {
-        self.chaos_plan = Some(plan);
         self
     }
 
@@ -337,20 +300,10 @@ where
         self
     }
 
-    /// The chaos plan in effect: an explicit [`JobBuilder::chaos_plan`]
-    /// wins over an explicit [`JobBuilder::fault_plan`] (promoted to a
-    /// crash-only chaos plan), which wins over the config-level plans.
-    fn effective_chaos_plan(&self) -> Option<ChaosPlan> {
-        self.chaos_plan
-            .or(self.fault_plan.map(ChaosPlan::from))
-            .or(self.config.chaos)
-            .or(self.config.fault.map(ChaosPlan::from))
-    }
-
     /// A fresh per-job chaos context (attempt accounting + speculation
-    /// state) for the effective plan.
+    /// state) for the config's plan.
     pub(crate) fn chaos_ctx(&self) -> ChaosCtx {
-        ChaosCtx::new(self.effective_chaos_plan())
+        ChaosCtx::new(self.config.chaos)
     }
 
     /// Map phase (parallel over map tasks): each task maps its chunk of
@@ -636,9 +589,9 @@ where
     }
 
     /// Final metric bookkeeping shared by every execution path: recovery
-    /// counters and the user-counter snapshot. Recovery events also flow
-    /// into the global obsv registry so chaos is visible in `--stats`
-    /// reports without plumbing metrics by hand.
+    /// and spill counters. Recovery events also flow into the global obsv
+    /// registry so chaos is visible in `--stats` reports without plumbing
+    /// metrics by hand.
     pub(crate) fn finish_metrics(&self, metrics: &mut JobMetrics, chaos: &ChaosCtx) {
         chaos.fill_metrics(metrics);
         if metrics.task_retries > 0 {
@@ -664,9 +617,6 @@ where
         if let Some(s) = &self.spill {
             metrics.spill_bytes = s.job_spill.load(Ordering::Relaxed);
             metrics.backpressure_stall_ns = s.job_stall.load(Ordering::Relaxed);
-        }
-        if let Some(c) = &self.counters {
-            metrics.user = c.snapshot();
         }
     }
 }
@@ -962,8 +912,7 @@ const SPECULATION_FACTOR: f64 = 2.0;
 /// completed-task duration samples speculation thresholds are derived
 /// from.
 ///
-/// Attempt accounting works like the original fault path: tasks are
-/// deterministic, so wasted attempts (crashes *and* checksum-detected
+/// Attempt accounting: tasks are deterministic, so wasted attempts (crashes *and* checksum-detected
 /// corruption) are charged to counters without re-running bodies, and a
 /// task that exhausts its attempt budget kills the job. Straggler delays
 /// are physically slept (capped by the plan) so recovery behavior is
@@ -1048,7 +997,7 @@ impl ChaosCtx {
             None => panic!(
                 "{phase:?} task {task} failed {} consecutive attempts; job killed \
                  (like Hadoop after mapred.max.attempts)",
-                plan.fault.max_attempts
+                plan.max_attempts
             ),
         }
         let start = Instant::now();
@@ -1269,7 +1218,6 @@ mod tests {
             .config(JobConfig {
                 map_tasks: 4,
                 reduce_tasks: 1,
-                fault: None,
                 chaos: None,
             })
             .run(input);
@@ -1283,25 +1231,6 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(metrics.map_input_records, 0);
         assert_eq!(metrics.shuffle_bytes, 0);
-    }
-
-    #[test]
-    fn user_counters_are_snapshotted() {
-        let counters = Counters::new();
-        let cc = counters.clone();
-        let m = FnMapper::new(move |_k: u64, v: u64, out: &mut Emitter<u64, u64>| {
-            cc.inc("seen", 1);
-            out.emit(v % 2, v);
-        });
-        let r = FnReducer::new(|k: &u64, vs: Vec<u64>, out: &mut Emitter<u64, u64>| {
-            out.emit(*k, vs.len() as u64);
-        });
-        let input: Vec<(u64, u64)> = (0..10).map(|i| (i, i)).collect();
-        let (_, metrics) = JobBuilder::new("counted", m, r)
-            .counters(counters)
-            .config(JobConfig::uniform(2))
-            .run(input);
-        assert_eq!(metrics.user["seen"], 10);
     }
 
     #[test]
@@ -1322,7 +1251,6 @@ mod tests {
             .config(JobConfig {
                 map_tasks: 2,
                 reduce_tasks: 4,
-                fault: None,
                 chaos: None,
             })
             .run(input);
@@ -1344,7 +1272,6 @@ mod tests {
             .config(JobConfig {
                 map_tasks: 4,
                 reduce_tasks: 2,
-                fault: None,
                 chaos: None,
             })
             .run(input);
@@ -1370,8 +1297,7 @@ mod tests {
 
     #[test]
     fn fault_injection_preserves_output_and_counts_retries() {
-        use crate::fault::FaultPlan;
-        let run = |plan: Option<FaultPlan>| {
+        let run = |chaos: Option<ChaosPlan>| {
             let m = FnMapper::new(|_k: u64, line: String, out: &mut Emitter<String, u64>| {
                 for w in line.split_whitespace() {
                     out.emit(w.to_string(), 1);
@@ -1380,18 +1306,17 @@ mod tests {
             let r = FnReducer::new(|k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>| {
                 out.emit(k.clone(), vs.into_iter().sum());
             });
-            let b = JobBuilder::new("wc", m, r).config(JobConfig::uniform(6));
-            let b = if let Some(p) = plan {
-                b.fault_plan(p)
-            } else {
-                b
-            };
-            b.run(wordcount_input())
+            JobBuilder::new("wc", m, r)
+                .config(JobConfig {
+                    chaos,
+                    ..JobConfig::uniform(6)
+                })
+                .run(wordcount_input())
         };
         let (mut clean, m_clean) = run(None);
         // 30% failure rate: retries all but guaranteed across 12 tasks,
         // and output must be identical.
-        let (mut faulty, m_faulty) = run(Some(FaultPlan::new(300, 1234)));
+        let (mut faulty, m_faulty) = run(Some(ChaosPlan::new(300, 1234)));
         clean.sort();
         faulty.sort();
         assert_eq!(clean, faulty, "fault tolerance must be invisible in output");
@@ -1405,12 +1330,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "job killed")]
     fn doomed_job_is_killed() {
-        use crate::fault::FaultPlan;
         // One attempt only, 99.9% failure: some map task dies.
-        let plan = FaultPlan {
-            fail_per_mille: 999,
+        let plan = ChaosPlan {
             max_attempts: 1,
-            seed: 8,
+            ..ChaosPlan::new(999, 8)
         };
         let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| out.emit(k, v));
         let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
@@ -1418,8 +1341,10 @@ mod tests {
         });
         let input: Vec<(u32, u32)> = (0..100).map(|i| (i, i)).collect();
         let _ = JobBuilder::new("doomed", m, r)
-            .fault_plan(plan)
-            .config(JobConfig::uniform(8))
+            .config(JobConfig {
+                chaos: Some(plan),
+                ..JobConfig::uniform(8)
+            })
             .run(input);
     }
 
@@ -1435,7 +1360,6 @@ mod tests {
 
     #[test]
     fn chaos_injection_preserves_output_and_counts_events() {
-        use crate::fault::ChaosPlan;
         let run = |chaos: Option<ChaosPlan>| {
             let input: Vec<(u32, u32)> = (0..400).map(|i| (i, i)).collect();
             let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| {
@@ -1444,13 +1368,12 @@ mod tests {
             let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
                 out.emit(*k, vs.into_iter().sum());
             });
-            let b = JobBuilder::new("chaotic", m, r).config(JobConfig::uniform(8));
-            let b = if let Some(c) = chaos {
-                b.chaos_plan(c)
-            } else {
-                b
-            };
-            b.run(input)
+            JobBuilder::new("chaotic", m, r)
+                .config(JobConfig {
+                    chaos,
+                    ..JobConfig::uniform(8)
+                })
+                .run(input)
         };
         let (mut clean, m_clean) = run(None);
         let chaos = ChaosPlan::new(100, 77)
@@ -1477,7 +1400,6 @@ mod tests {
 
     #[test]
     fn speculative_clones_win_against_stragglers() {
-        use crate::fault::ChaosPlan;
         // Heavy per-task work plus every task a straggler at 10× slowdown:
         // once the first few tasks complete, the quantile threshold exists
         // and later stragglers must race (and beat) their injected delay.
@@ -1495,12 +1417,10 @@ mod tests {
         });
         let chaos = ChaosPlan::new(0, 3).with_stragglers(1000, 10.0, 50);
         let (_, metrics) = JobBuilder::new("spec", m, r)
-            .chaos_plan(chaos)
             .config(JobConfig {
                 map_tasks: 16,
                 reduce_tasks: 4,
-                fault: None,
-                chaos: None,
+                chaos: Some(chaos),
             })
             .run(input);
         assert!(
@@ -1513,24 +1433,5 @@ mod tests {
         );
         assert!(metrics.speculative_work_ns > 0);
         assert!(metrics.speculative_wins <= metrics.speculative_launched);
-    }
-
-    #[test]
-    fn config_level_chaos_is_honored() {
-        use crate::fault::ChaosPlan;
-        let input: Vec<(u32, u32)> = (0..100).map(|i| (i, i)).collect();
-        let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| out.emit(k % 8, v));
-        let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
-            out.emit(*k, vs.len() as u32);
-        });
-        let (_, metrics) = JobBuilder::new("cfg-chaos", m, r)
-            .config(JobConfig {
-                map_tasks: 8,
-                reduce_tasks: 8,
-                fault: None,
-                chaos: Some(ChaosPlan::new(300, 99)),
-            })
-            .run(input);
-        assert!(metrics.task_retries > 0, "config-level chaos must inject");
     }
 }

@@ -49,9 +49,11 @@
 //! }
 //!
 //! let input = vec![(0u64, "a b a".to_string()), (1, "b".to_string())];
-//! let (out, metrics) = JobBuilder::new("wordcount", Tokenize, Sum)
+//! let (mut out, metrics) = JobBuilder::new("wordcount", Tokenize, Sum)
 //!     .config(JobConfig::default())
 //!     .run(input);
+//! // Output is key-ordered within each reduce task, not across tasks.
+//! out.sort();
 //! assert_eq!(out, vec![("a".into(), 2), ("b".into(), 2)]);
 //! assert_eq!(metrics.map_output_records, 4);
 //! ```
@@ -70,10 +72,10 @@ pub mod task;
 pub mod wire;
 
 pub use cost::ClusterSpec;
-pub use counters::{Counters, JobMetrics, TaskTimes};
+pub use counters::{JobMetrics, TaskTimes};
 pub use dfs::Dfs;
 pub use driver::{Driver, MemoryGovernor};
-pub use fault::{AttemptOutcome, ChaosPlan, FaultPlan, Phase, TaskWastage};
+pub use fault::{AttemptOutcome, ChaosPlan, Phase, TaskWastage};
 pub use io_shim::{FaultFile, FaultFs, IoFaultPlan};
 pub use job::{HashPartitioner, JobBuilder, JobConfig, MapInput, Partitioner};
 pub use plan::{plan, IdentityMap, MapChain, Plan, PlanBuilder, ReduceStage, Snapshot, Stage};

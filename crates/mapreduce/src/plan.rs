@@ -38,7 +38,7 @@
 //! [`Driver::run_plan`]: crate::driver::Driver::run_plan
 //! [`JobBuilder::run`]: crate::job::JobBuilder::run
 
-use crate::counters::{Counters, JobMetrics};
+use crate::counters::JobMetrics;
 use crate::dfs::Dfs;
 use crate::driver::MemoryGovernor;
 use crate::job::{HashPartitioner, JobBuilder, JobConfig, MapInput, Partitioner, ReduceBucket};
@@ -280,8 +280,8 @@ impl<A: Mapper> PendingMapper<A::InKey, A::InValue> for Pending<A> {
 }
 
 /// One full dataflow node: a mapper and reducer plus the optional
-/// combiner, partitioner, parallelism config, user counters, declared
-/// partitioning contract, and a metrics-finalize hook.
+/// combiner, partitioner, parallelism config, declared partitioning
+/// contract, and a metrics-finalize hook.
 pub struct Stage<M, R>
 where
     M: Mapper,
@@ -293,7 +293,6 @@ where
     combiner: Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
     partitioner: Box<dyn Partitioner<M::OutKey>>,
     config: JobConfig,
-    counters: Option<Counters>,
     contract: Option<String>,
     finalize: Option<FinalizeHook>,
 }
@@ -313,7 +312,6 @@ where
             combiner: None,
             partitioner: Box::new(HashPartitioner),
             config: JobConfig::default(),
-            counters: None,
             contract: None,
             finalize: None,
         }
@@ -346,13 +344,6 @@ where
             "task counts must be positive"
         );
         self.config = config;
-        self
-    }
-
-    /// Attaches user counters whose snapshot is included in the stage's
-    /// metrics.
-    pub fn counters(mut self, counters: Counters) -> Self {
-        self.counters = Some(counters);
         self
     }
 
@@ -391,7 +382,6 @@ pub struct ReduceStage<R: Reducer> {
     combiner: Option<Box<dyn Combiner<Key = R::InKey, Value = R::InValue> + Send + Sync>>,
     partitioner: Box<dyn Partitioner<R::InKey>>,
     config: JobConfig,
-    counters: Option<Counters>,
     contract: Option<String>,
     finalize: Option<FinalizeHook>,
 }
@@ -405,7 +395,6 @@ impl<R: Reducer> ReduceStage<R> {
             combiner: None,
             partitioner: Box::new(HashPartitioner),
             config: JobConfig::default(),
-            counters: None,
             contract: None,
             finalize: None,
         }
@@ -436,12 +425,6 @@ impl<R: Reducer> ReduceStage<R> {
             "task counts must be positive"
         );
         self.config = config;
-        self
-    }
-
-    /// Attaches user counters (see [`Stage::counters`]).
-    pub fn counters(mut self, counters: Counters) -> Self {
-        self.counters = Some(counters);
         self
     }
 
@@ -688,7 +671,6 @@ impl<K, V, P> PlanBuilder<K, V, P> {
             stage.combiner,
             stage.partitioner,
             stage.config,
-            stage.counters,
             stage.contract,
             stage.finalize,
         );
@@ -728,7 +710,6 @@ impl<K, V, P> PlanBuilder<K, V, P> {
             stage.combiner,
             stage.partitioner,
             stage.config,
-            stage.counters,
             stage.contract,
             stage.finalize,
         );
@@ -768,7 +749,6 @@ fn push_stage<M, R>(
     combiner: Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
     partitioner: Box<dyn Partitioner<M::OutKey>>,
     config: JobConfig,
-    counters: Option<Counters>,
     contract: Option<String>,
     finalize: Option<FinalizeHook>,
 ) where
@@ -812,9 +792,6 @@ fn push_stage<M, R>(
             .boxed_partitioner(partitioner);
         if let Some(c) = combiner {
             builder = builder.boxed_combiner(c);
-        }
-        if let Some(c) = counters {
-            builder = builder.counters(c);
         }
         let (out, mut metrics) = execute_stage(ctx, builder, contract.as_deref(), input, source);
         if let Some(f) = finalize {
@@ -1236,9 +1213,9 @@ mod tests {
         assert!(driver.dfs().list("ckpt/").is_empty());
     }
 
-    fn resume_plan(rows: &[(u32, u32)], stage2_fault: Option<crate::FaultPlan>) -> Plan<u32, u64> {
+    fn resume_plan(rows: &[(u32, u32)], stage2_chaos: Option<crate::ChaosPlan>) -> Plan<u32, u64> {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.fault = stage2_fault;
+        cfg2.chaos = stage2_chaos;
         plan("resume")
             .rows(rows.to_vec())
             .stage(Stage::new("s1", mod_key_mapper(), sum_reducer()).config(JobConfig::uniform(3)))
@@ -1268,10 +1245,9 @@ mod tests {
         // killed — after stage 1 materialized its checkpoint.
         let doomed = resume_plan(
             &rows,
-            Some(crate::FaultPlan {
-                fail_per_mille: 999,
+            Some(crate::ChaosPlan {
                 max_attempts: 0,
-                seed: 7,
+                ..crate::ChaosPlan::new(999, 7)
             }),
         );
         let killed = catch_unwind(AssertUnwindSafe(|| driver.run_plan(doomed)));

@@ -49,7 +49,6 @@ fn run_sum(
     let b = JobBuilder::new("sum", m, r).config(JobConfig {
         map_tasks,
         reduce_tasks,
-        fault: None,
         chaos: None,
     });
     let b = if with_combiner {
@@ -96,7 +95,7 @@ proptest! {
             out.emit(*k, vs);
         });
         let (out, _) = JobBuilder::new("concat", m, r)
-            .config(JobConfig { map_tasks, reduce_tasks, fault: None, chaos: None })
+            .config(JobConfig { map_tasks, reduce_tasks, chaos: None })
             .run(input);
         let got: BTreeMap<u32, Vec<u32>> = out.into_iter().collect();
         prop_assert_eq!(got, expected);
@@ -149,7 +148,7 @@ proptest! {
             out.emit(*k, vs.len() as u64);
         });
         let (_, metrics) = JobBuilder::new("ids", m, r)
-            .config(JobConfig { map_tasks, reduce_tasks, fault: None, chaos: None })
+            .config(JobConfig { map_tasks, reduce_tasks, chaos: None })
             .run(input.clone());
         prop_assert_eq!(metrics.map_input_records, input.len() as u64);
         prop_assert_eq!(metrics.map_output_records, input.len() as u64);

@@ -10,6 +10,10 @@ use obsv::json::{parse, Json};
 use obsv::{clear_events, disable_capture, drain_events, enable_capture, span};
 
 fn captured_tree() -> Vec<obsv::SpanEvent> {
+    // The tests of this binary run in parallel and share the global
+    // capture buffer: one capture at a time.
+    static CAPTURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _one = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
     enable_capture();
     clear_events();
     span!("pipeline", "lsh-ddp" => {

@@ -372,6 +372,13 @@ impl Opts {
         let input = self.input.as_ref().ok_or("--input is required")?;
         let mut ld = datasets::io::read_csv(input, self.labeled)
             .map_err(|e| format!("reading {input}: {e}"))?;
+        // Every clustering needs a pairwise distance to estimate d_c from.
+        if ld.len() < 2 {
+            return Err(format!(
+                "reading {input}: need at least 2 points, got {}",
+                ld.len()
+            ));
+        }
         if self.normalize {
             ld.data.normalize_min_max();
         }

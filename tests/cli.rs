@@ -240,3 +240,44 @@ fn missing_input_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("reading"));
 }
+
+/// Runs `lshddp cluster` on a CSV with the given contents and asserts it
+/// fails cleanly — an error exit, not a panic (101) — with a message
+/// containing `expect`.
+fn cluster_rejects(name: &str, csv: &str, expect: &str) {
+    let input = tmp(name);
+    std::fs::write(&input, csv).unwrap();
+    let out = bin()
+        .args(["cluster", "--input"])
+        .arg(&input)
+        .args(["--out", "/dev/null", "--k", "2"])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{name}: must fail");
+    assert_ne!(out.status.code(), Some(101), "{name} panicked: {stderr}");
+    assert!(stderr.contains(expect), "{name}: {stderr}");
+}
+
+#[test]
+fn cluster_rejects_a_nan_cell() {
+    cluster_rejects(
+        "nan.csv",
+        "0,0\n1,NaN\n2,2\n3,3\n",
+        "line 2: non-finite value",
+    );
+}
+
+#[test]
+fn cluster_rejects_an_inf_cell() {
+    cluster_rejects(
+        "inf.csv",
+        "0,0\n1,1\ninf,2\n3,3\n",
+        "line 3: non-finite value",
+    );
+}
+
+#[test]
+fn cluster_rejects_a_single_point() {
+    cluster_rejects("one.csv", "0.5,0.5\n", "need at least 2 points, got 1");
+}

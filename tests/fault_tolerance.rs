@@ -5,7 +5,7 @@
 
 use lsh_ddp::prelude::*;
 use mapreduce::{
-    plan, ChaosPlan, Dfs, Driver, Emitter, FaultPlan, FnMapper, FnReducer, JobConfig, Phase, Stage,
+    plan, ChaosPlan, Dfs, Driver, Emitter, FnMapper, FnReducer, JobBuilder, JobConfig, Phase, Stage,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,9 +19,8 @@ fn faulty_pipeline(rate_per_mille: u32) -> PipelineConfig {
     PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: Some(FaultPlan::new(rate_per_mille, 777)),
         fault_stage: None,
-        chaos: None,
+        chaos: Some(ChaosPlan::new(rate_per_mille, 777)),
         disable_elision: false,
         checkpoints: false,
         kernel: Default::default(),
@@ -73,7 +72,6 @@ fn lsh_ddp_survives_task_failures_bit_exactly() {
     let clean = run(PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,
@@ -101,7 +99,6 @@ fn eddpc_survives_task_failures_bit_exactly() {
     let clean = run(PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,
@@ -113,44 +110,70 @@ fn eddpc_survives_task_failures_bit_exactly() {
     assert_eq!(clean.result, faulty.result);
 }
 
+/// Runs a small job (6 map tasks, 8 reduce tasks) under `chaos` and
+/// returns its retry count; panics like Hadoop's job kill when a task
+/// exhausts its attempts.
+fn run_small_job(chaos: ChaosPlan) -> u64 {
+    let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u64>| {
+        out.emit(k % 16, v as u64);
+    });
+    let r = FnReducer::new(|k: &u32, vs: Vec<u64>, out: &mut Emitter<u32, u64>| {
+        out.emit(*k, vs.into_iter().sum());
+    });
+    let input: Vec<(u32, u32)> = (0..120).map(|i| (i, i)).collect();
+    let (_, metrics) = JobBuilder::new("small", m, r)
+        .config(JobConfig {
+            map_tasks: 6,
+            reduce_tasks: 8,
+            chaos: Some(chaos),
+        })
+        .run(input);
+    metrics.task_retries
+}
+
 #[test]
-fn run_task_retry_counts_match_the_schedule_for_every_phase() {
-    // `attempts_before_success` is the oracle `run_task` must obey, and it
-    // must hold for every phase — the failure schedule is phase-dependent,
-    // so a Map-only check would miss a Reduce-side regression.
-    let plan = FaultPlan::new(400, 99);
-    for phase in [Phase::Map, Phase::Reduce] {
-        let mut saw_retries = false;
-        for task in 0..200 {
-            // A task the schedule dooms (fails all attempts) is the panic
-            // path, covered below — here we check every survivable task.
-            let Some(scheduled) = plan.attempts_before_success(phase, task) else {
-                continue;
-            };
-            let mut runs = 0u32;
-            let ((), retries) = plan.run_task(phase, task, || runs += 1);
-            assert_eq!(retries, scheduled, "{phase:?} task {task}");
-            assert_eq!(runs, scheduled + 1, "work runs once per attempt");
-            saw_retries |= retries > 0;
-        }
-        assert!(
-            saw_retries,
-            "40% failure rate must retry some {phase:?} task"
-        );
-    }
+fn engine_retry_counts_match_the_schedule_for_every_phase() {
+    // `task_wastage` is the oracle the engine's attempt accounting must
+    // obey, in every phase — the failure schedule is phase-dependent, so
+    // a Map-only check would miss a Reduce-side regression.
+    let chaos = survivable(ChaosPlan::new(400, 99));
+    let scheduled = |phase: Phase, tasks: usize| -> u64 {
+        (0..tasks)
+            .map(|t| chaos.task_wastage(phase, t).unwrap().failed as u64)
+            .sum()
+    };
+    let (map, reduce) = (scheduled(Phase::Map, 6), scheduled(Phase::Reduce, 8));
+    assert!(
+        map > 0 && reduce > 0,
+        "40% failure rate retries in both phases"
+    );
+    assert_eq!(run_small_job(chaos), map + reduce);
 }
 
 #[test]
 fn doomed_tasks_kill_the_job_in_every_phase() {
-    // Find, per phase, a task the schedule dooms (fails all attempts) and
-    // check `run_task` panics for it instead of returning.
-    let plan = FaultPlan::new(900, 4242);
+    // Find, per phase, a seed whose schedule dooms a task of that phase
+    // (and, for Reduce, lets every map task through), then check the job
+    // is killed in exactly that phase.
+    let doomed = |chaos: &ChaosPlan, phase: Phase, tasks: usize| {
+        (0..tasks).any(|t| chaos.task_wastage(phase, t).is_none())
+    };
     for phase in [Phase::Map, Phase::Reduce] {
-        let doomed = (0..10_000)
-            .find(|&t| plan.attempts_before_success(phase, t).is_none())
+        let chaos = (0..10_000)
+            .map(|seed| ChaosPlan::new(900, seed))
+            .find(|c| match phase {
+                Phase::Map => doomed(c, Phase::Map, 6),
+                Phase::Reduce => !doomed(c, Phase::Map, 6) && doomed(c, Phase::Reduce, 8),
+            })
             .expect("90% failure rate dooms some task");
-        let outcome = std::panic::catch_unwind(|| plan.run_task(phase, doomed, || ()));
-        assert!(outcome.is_err(), "{phase:?} task {doomed} must be killed");
+        let killed = catch_unwind(|| run_small_job(chaos)).expect_err("the job must be killed");
+        let msg = killed
+            .downcast_ref::<String>()
+            .expect("the kill carries a message");
+        assert!(
+            msg.starts_with(&format!("{phase:?} task")) && msg.contains("job killed"),
+            "{msg}"
+        );
     }
 }
 
@@ -193,9 +216,9 @@ fn survivable(mut chaos: ChaosPlan) -> ChaosPlan {
         })
     };
     while !all_live(&chaos) {
-        chaos.fault.max_attempts += 1;
+        chaos.max_attempts += 1;
         assert!(
-            chaos.fault.max_attempts <= 64,
+            chaos.max_attempts <= 64,
             "rates too hot for any retry budget"
         );
     }
@@ -210,7 +233,6 @@ fn assert_chaos_is_invisible(ds: &Dataset, dc: f64, chaos: ChaosPlan) -> u64 {
     let clean_pipe = PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,
@@ -318,7 +340,6 @@ fn indexed_kernels_under_chaos_match_the_clean_blocked_run_bit_exactly() {
     let base = PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,
@@ -436,9 +457,9 @@ fn restarted_driver_resumes_a_killed_plan_from_the_checkpoint() {
             out.emit(*k, vs.into_iter().sum());
         })
     };
-    let build = |stage2_fault: Option<FaultPlan>| {
+    let build = |stage2_chaos: Option<ChaosPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.fault = stage2_fault;
+        cfg2.chaos = stage2_chaos;
         plan("restart-drill")
             .rows(rows.clone())
             .stage(Stage::new("s1", mod_key(), sum()).config(JobConfig::uniform(3)))
@@ -447,10 +468,9 @@ fn restarted_driver_resumes_a_killed_plan_from_the_checkpoint() {
     };
     // `max_attempts: 0` dooms every stage-2 task: the job is killed on
     // its first failure, after stage 1 completed and checkpointed.
-    let doom = FaultPlan {
-        fail_per_mille: 999,
+    let doom = ChaosPlan {
         max_attempts: 0,
-        seed: 7,
+        ..ChaosPlan::new(999, 7)
     };
 
     let dfs = Arc::new(Dfs::new());
@@ -518,19 +538,18 @@ fn restarted_driver_resumes_a_killed_spilling_plan_bit_exactly() {
             out.emit(*k, vs.into_iter().sum());
         })
     };
-    let build = |stage2_fault: Option<FaultPlan>| {
+    let build = |stage2_chaos: Option<ChaosPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.fault = stage2_fault;
+        cfg2.chaos = stage2_chaos;
         plan("spill-restart-drill")
             .rows(rows.clone())
             .stage(Stage::new("s1", mod_key(), sum()).config(JobConfig::uniform(3)))
             .stage(Stage::new("s2", halve_key(), sum()).config(cfg2))
             .build()
     };
-    let doom = FaultPlan {
-        fail_per_mille: 999,
+    let doom = ChaosPlan {
         max_attempts: 0,
-        seed: 7,
+        ..ChaosPlan::new(999, 7)
     };
 
     let dfs = Arc::new(Dfs::new());
@@ -608,7 +627,7 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
     let model = ClusterModel::from_run(ds, &report, &outcome, &params, 77);
 
     // Mutate it, then doom the compaction's LAST stage (`fault_stage`
-    // scopes the fault so every earlier stage completes and checkpoints
+    // scopes the plan so every earlier stage completes and checkpoints
     // first): the rho plan finishes whole, the delta plan checkpoints
     // its fused map+local stage, and dies in the aggregate.
     let mut session = IngestSession::new(
@@ -630,12 +649,11 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
             DeltaOp::Delete(7),
         ])
         .unwrap();
-    let doom = FaultPlan {
-        fail_per_mille: 999,
+    let doom = ChaosPlan {
         max_attempts: 0,
-        seed: 7,
+        ..ChaosPlan::new(999, 7)
     };
-    session.config_mut().pipeline.fault = Some(doom);
+    session.config_mut().pipeline.chaos = Some(doom);
     session.config_mut().pipeline.fault_stage = Some("lsh/delta-aggregate");
 
     let killed = catch_unwind(AssertUnwindSafe(|| session.compact()));
@@ -653,7 +671,7 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
 
     // Restart: fix the fault, compact again on the same session. The
     // checkpointed stages resume from the DFS instead of recomputing.
-    session.config_mut().pipeline.fault = None;
+    session.config_mut().pipeline.chaos = None;
     session.config_mut().pipeline.fault_stage = None;
     let compaction = session.compact();
     let resumed: Vec<&str> = compaction

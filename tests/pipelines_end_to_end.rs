@@ -115,7 +115,6 @@ fn pipelines_are_deterministic_across_runs_and_task_counts() {
             pipeline: ddp::common::PipelineConfig {
                 map_tasks: tasks,
                 reduce_tasks: tasks,
-                fault: None,
                 fault_stage: None,
                 chaos: None,
                 disable_elision: false,
