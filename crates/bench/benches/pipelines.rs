@@ -1,4 +1,4 @@
-//! End-to-end pipeline benchmarks: sequential DP vs Basic-DDP vs LSH-DDP
+//! End-to-end pipeline benchmarks: exact DP vs Basic-DDP vs LSH-DDP
 //! vs EDDPC at growing N — the Criterion companion to Figure 10's
 //! runtime panel (who wins and how the gap scales).
 
@@ -18,12 +18,8 @@ fn bench_pipelines(c: &mut Criterion) {
         let dc = 0.8;
         g.throughput(Throughput::Elements(n as u64));
 
-        g.bench_with_input(BenchmarkId::new("sequential", n), &ds, |b, ds| {
+        g.bench_with_input(BenchmarkId::new("exact", n), &ds, |b, ds| {
             b.iter(|| black_box(dp_core::compute_exact(ds, dc)))
-        });
-        g.bench_with_input(BenchmarkId::new("sequential_fast", n), &ds, |b, ds| {
-            // The paper's §II-A triangle-inequality + sorted-rho variant.
-            b.iter(|| black_box(dp_core::compute_exact_fast(ds, dc, 8)))
         });
         g.bench_with_input(BenchmarkId::new("basic_ddp", n), &ds, |b, ds| {
             let pipe = BasicDdp::new(BasicConfig {

@@ -272,7 +272,7 @@ impl DeltaBlockReducer {
         let mut evals = 0u64;
         // Descending canonical density order over the anchor block: each
         // own point past the first is seeded with its predecessor, a
-        // guaranteed-denser candidate (the fast.rs sorted-rho scan).
+        // guaranteed-denser candidate (the sorted-rho scan of dp_core::dp).
         let mut order: Vec<u32> = (0..own.len() as u32).collect();
         order.sort_by(|&a, &b| {
             let (ia, ib) = (own[a as usize].1, own[b as usize].1);

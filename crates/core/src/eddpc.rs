@@ -280,7 +280,7 @@ impl Reducer for DeltaRound1Reducer {
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         if self.kernel.use_indexed(points.len()) && !points.is_empty() {
             // Indexed kernel: nearest-denser searches seeded by the
-            // descending canonical density order (the fast.rs scan). The
+            // descending canonical density order (as in dp_core::dp). The
             // `maxd` slot is only consumed downstream when every partial
             // ends [`NO_UPSLOPE`], so the exact farthest distance is
             // computed only for empty-handed searches.

@@ -250,7 +250,7 @@ impl Reducer for LocalDeltaReducer {
             if self.kernel.use_indexed(chunk.len()) {
                 let index = SpatialIndex::build(&flat, dim, self.dc);
                 let mut evals = 0u64;
-                // Descending canonical density order (the fast.rs scan):
+                // Descending canonical density order (as in dp_core::dp):
                 // each point's predecessor is guaranteed denser and seeds
                 // the search with a finite bound; the densest point of the
                 // chunk stays at (∞, NO_UPSLOPE), exactly like the blocked

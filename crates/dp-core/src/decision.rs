@@ -8,8 +8,11 @@
 //! automatic criterion ([`select_top_k`] by the normalized product
 //! `gamma = rho * delta`).
 
+use crate::distance::squared_euclidean;
 use crate::dp::{denser, DpResult, NO_UPSLOPE};
+use crate::index::{KernelStrategy, SpatialIndex};
 use crate::point::PointId;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One point of the decision graph.
@@ -258,12 +261,26 @@ pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
 /// themselves tie the bound, so the comparison here is inclusive
 /// (`rho <= border_rho`), which keeps the border points in the halo.
 ///
-/// O(N²) distance work; intended for the centralized step, where the
-/// paper also computes it.
+/// Pairs count as within `d_c` on `d² < d_c²`, the predicate of every
+/// `rho` kernel, so a pair that ties the threshold is a neighbor here
+/// exactly when it added to `rho`. The branch is the one
+/// `KernelStrategy::default().resolve()` picks; see [`compute_halo_with`].
 pub fn compute_halo(
     ds: &crate::point::Dataset,
     result: &DpResult,
     clustering: &Clustering,
+) -> Vec<bool> {
+    compute_halo_with(ds, result, clustering, KernelStrategy::default().resolve())
+}
+
+/// [`compute_halo`] on the branch `kernel` selects for `ds.len()` points:
+/// a range query per point on a [`SpatialIndex`], or a row scan of every
+/// pair. Both run on the rayon pool and return identical flags.
+pub fn compute_halo_with(
+    ds: &crate::point::Dataset,
+    result: &DpResult,
+    clustering: &Clustering,
+    kernel: KernelStrategy,
 ) -> Vec<bool> {
     assert_eq!(ds.len(), result.len(), "result must cover the dataset");
     assert_eq!(
@@ -272,30 +289,54 @@ pub fn compute_halo(
         "clustering must cover the dataset"
     );
     let n = ds.len();
-    let k = clustering.n_clusters() as usize;
-    // Max density seen in each cluster's border region.
-    let mut border_rho = vec![0u32; k];
-    for i in 0..n {
-        let pi = ds.point(i as PointId);
-        let ci = clustering.label(i as PointId) as usize;
-        for j in (i + 1)..n {
-            let cj = clustering.label(j as PointId) as usize;
-            if ci == cj {
-                continue;
-            }
-            if crate::distance::euclidean(pi, ds.point(j as PointId)) < result.dc {
-                // The ORIGINAL DP code uses the average density of the
-                // cross-boundary pair as the bound candidate.
-                let avg = (result.rho[i] + result.rho[j]) / 2;
-                border_rho[ci] = border_rho[ci].max(avg);
-                border_rho[cj] = border_rho[cj].max(avg);
-            }
+    let dc2 = result.dc * result.dc;
+    let labels = clustering.labels();
+    let rho = &result.rho;
+    // The ORIGINAL DP code uses the average density of a cross-boundary
+    // pair as the bound candidate; keep each point's highest.
+    let cross = |i: usize, j: usize, best: &mut u32| {
+        if labels[i] != labels[j] {
+            *best = (*best).max((rho[i] + rho[j]) / 2);
         }
+    };
+    let pair_bound: Vec<u32> = if n > 0 && kernel.use_indexed(n) {
+        let index = SpatialIndex::build(ds.as_flat(), ds.dim(), result.dc);
+        (0..n)
+            .into_par_iter()
+            .map(|i| {
+                let mut best = 0;
+                index.for_each_within_d2(ds.point(i as PointId), dc2, |j, _| {
+                    cross(i, j as usize, &mut best)
+                });
+                best
+            })
+            .collect()
+    } else {
+        (0..n)
+            .into_par_iter()
+            .map(|i| {
+                let pi = ds.point(i as PointId);
+                let mut best = 0;
+                for (j, pj) in ds.iter() {
+                    if squared_euclidean(pi, pj) < dc2 {
+                        cross(i, j as usize, &mut best);
+                    }
+                }
+                best
+            })
+            .collect()
+    };
+    // Max density seen in each cluster's border region.
+    let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
+    for (&l, &b) in labels.iter().zip(&pair_bound) {
+        border_rho[l as usize] = border_rho[l as usize].max(b);
     }
-    (0..n)
-        .map(|i| {
-            let b = border_rho[clustering.label(i as PointId) as usize];
-            b > 0 && result.rho[i] <= b
+    labels
+        .iter()
+        .zip(rho)
+        .map(|(&l, &r)| {
+            let b = border_rho[l as usize];
+            b > 0 && r <= b
         })
         .collect()
 }
@@ -449,6 +490,22 @@ mod tests {
         // Blob cores (interior points) stay core.
         assert!(!halo[5], "blob A interior must be core");
         assert!(!halo[30], "blob B interior must be core");
+    }
+
+    #[test]
+    fn halo_counts_a_pair_that_ties_d_c_like_rho_does() {
+        // d² = 2 and d_c = sqrt(2): sqrt(d²) < d_c is false, but
+        // d² < d_c² holds (d_c² rounds up to 2.0000000000000004), and that
+        // is the predicate rho counted the pair with.
+        let ds = Dataset::from_flat(2, vec![0.0, 0.0, 1.0, 1.0]);
+        let dc = 2f64.sqrt();
+        assert!(crate::distance::euclidean(ds.point(0), ds.point(1)) >= dc);
+        let r = compute_exact(&ds, dc);
+        assert_eq!(r.rho, vec![1, 1]);
+        let c = Clustering::from_labels(vec![0, 1], 2);
+        for kernel in [KernelStrategy::Blocked, KernelStrategy::Indexed] {
+            assert_eq!(compute_halo_with(&ds, &r, &c, kernel), vec![true, true]);
+        }
     }
 
     #[test]

@@ -1,13 +1,30 @@
-//! Exact sequential Density Peaks (the O(N²) reference algorithm).
+//! Exact Density Peaks on one machine, the reference algorithm.
 //!
 //! This is the ground truth the distributed pipelines are validated against:
 //! Basic-DDP must match it bit-for-bit, LSH-DDP approximately (quantified by
 //! `tau1`/`tau2` from [`crate::quality`]).
+//!
+//! The paper (§II-A) notes that sequential DP can be sped up by techniques
+//! orthogonal to distributing it. [`compute_exact`] has two branches that
+//! return the same bits, both spread across the rayon pool:
+//!
+//! * **indexed** — one [`SpatialIndex`] over the whole dataset, queried
+//!   once per point: a ball count for `rho`, a nearest-denser search for
+//!   `delta` (after Huang et al., "Faster Parallel Exact Density Peaks
+//!   Clustering"). It evaluates a small fraction of the `N²` distances
+//!   when the index prunes.
+//! * **row scan** — every point against every other, `2·N·(N−1)`
+//!   evaluations; the only branch for non-Euclidean metrics.
+//!
+//! [`KernelStrategy`] picks the branch with the same rule the pipelines'
+//! local kernels use.
 
-use crate::distance::DistanceTracker;
+use crate::distance::{squared_euclidean, DistanceKind, DistanceTracker};
+use crate::index::{KernelStrategy, SpatialIndex};
 use crate::point::{Dataset, PointId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Sentinel upslope id for the absolute density peak (no denser point).
 pub const NO_UPSLOPE: PointId = PointId::MAX;
@@ -113,14 +130,99 @@ pub fn compute_exact(ds: &Dataset, dc: f64) -> DpResult {
 
 /// Computes exact DP, recording every distance evaluation in `tracker`.
 ///
-/// Both phases are embarrassingly parallel over points and use Rayon.
-/// Distance evaluations use the tracker's metric ([`DistanceKind`]).
+/// Distance evaluations use the tracker's metric ([`DistanceKind`]). The
+/// branch is the one `KernelStrategy::default().resolve()` picks for
+/// `ds.len()` points, so `LSHDDP_KERNEL` overrides it like it does for the
+/// pipelines; see [`compute_exact_with`].
 pub fn compute_exact_tracked(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -> DpResult {
+    compute_exact_with(ds, dc, tracker, KernelStrategy::default().resolve())
+}
+
+/// Computes exact DP on the branch `kernel` selects: the spatial index when
+/// the metric is Euclidean and [`KernelStrategy::use_indexed`] holds for
+/// `ds.len()`, the row scan otherwise. Both branches run on the rayon pool
+/// and return bit-identical results; only the evaluation count charged to
+/// `tracker` differs.
+///
+/// # Panics
+/// Panics if the dataset is empty or `dc` is not positive and finite.
+pub fn compute_exact_with(
+    ds: &Dataset,
+    dc: f64,
+    tracker: &DistanceTracker,
+    kernel: KernelStrategy,
+) -> DpResult {
     assert!(!ds.is_empty(), "cannot run DP on an empty dataset");
     assert!(
         dc.is_finite() && dc > 0.0,
         "d_c must be positive and finite, got {dc}"
     );
+    if tracker.kind() == DistanceKind::Euclidean && kernel.use_indexed(ds.len()) {
+        exact_indexed(ds, dc, tracker)
+    } else {
+        exact_rows(ds, dc, tracker)
+    }
+}
+
+/// The indexed branch: one [`SpatialIndex`] over the whole dataset, one
+/// query per point. `rho` is a ball count at `d_c` (minus the query
+/// itself). `delta` is a nearest-denser search seeded by the point's
+/// predecessor in the descending [`denser`] order, which is denser by
+/// construction; ties resolve to the smaller id exactly as in the row
+/// scan. The first point in that order is the absolute peak, whose
+/// `delta` is its distance to the farthest point.
+fn exact_indexed(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -> DpResult {
+    let n = ds.len();
+    let index = SpatialIndex::build(ds.as_flat(), ds.dim(), dc);
+    let dc2 = dc * dc;
+    let counts: Vec<(u32, u64)> = (0..n as PointId)
+        .into_par_iter()
+        .map(|i| index.range_count_d2(ds.point(i), dc2))
+        .collect();
+    // Every count includes the query itself (d² = 0 < d_c²) unless d_c²
+    // underflows to 0, in which case the count is 0 and so is rho.
+    let rho: Vec<u32> = counts.iter().map(|&(c, _)| c.saturating_sub(1)).collect();
+    let mut evals: u64 = counts.iter().map(|&(_, e)| e).sum();
+
+    let mut order: Vec<PointId> = (0..n as PointId).collect();
+    order.sort_unstable_by_key(|&i| Reverse((rho[i as usize], i)));
+    let found: Vec<(f64, PointId, u64)> = (0..n)
+        .into_par_iter()
+        .map(|pos| {
+            let i = order[pos];
+            let q = ds.point(i);
+            if pos == 0 {
+                let (d, e) = index.max_distance(q);
+                return (d, NO_UPSLOPE, e);
+            }
+            let seed = order[pos - 1];
+            let seed_d = squared_euclidean(q, ds.point(seed)).sqrt();
+            let rho_i = rho[i as usize];
+            let ((d, u), e) = index.nearest_denser_d2(q, (seed_d, seed), f64::INFINITY, |j| {
+                denser(rho[j as usize], j, rho_i, i).then_some(j)
+            });
+            (d, u, e + 1)
+        })
+        .collect();
+    let mut delta = vec![0.0f64; n];
+    let mut upslope = vec![NO_UPSLOPE; n];
+    for (&i, (d, u, e)) in order.iter().zip(found) {
+        delta[i as usize] = d;
+        upslope[i as usize] = u;
+        evals += e;
+    }
+    tracker.add(evals);
+    DpResult {
+        dc,
+        rho,
+        delta,
+        upslope,
+    }
+}
+
+/// The row-scan branch: every point scans every other point, once for
+/// `rho` and once for `delta` — `2·N·(N−1)` evaluations of any metric.
+fn exact_rows(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -> DpResult {
     let n = ds.len();
     let kind = tracker.kind();
 
@@ -278,7 +380,7 @@ mod tests {
     fn tracker_records_quadratic_distance_count() {
         let ds = tiny();
         let t = DistanceTracker::new();
-        let _ = compute_exact_tracked(&ds, 1.5, &t);
+        let _ = compute_exact_with(&ds, 1.5, &t, KernelStrategy::Blocked);
         // rho phase: n*(n-1) + delta phase: n*(n-1)
         assert_eq!(t.total(), 2 * 3 * 2);
     }

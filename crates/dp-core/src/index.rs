@@ -13,7 +13,8 @@
 //!   serve-side exact recount;
 //! * [`SpatialIndex::nearest_denser_d2`] — `delta` as a best-first
 //!   nearest-neighbor search over a caller-supplied candidate filter,
-//!   seeded by the sorted-descending-`rho` scan proven in [`crate::fast`];
+//!   seeded by each point's predecessor in the descending-`rho` order (as
+//!   [`crate::dp`]'s indexed branch does);
 //! * [`SpatialIndex::max_distance`] — the absolute-peak `delta`
 //!   (distance to the farthest point).
 //!
@@ -52,7 +53,8 @@ use std::collections::BinaryHeap;
 /// partitions are exactly where the blocked loops are fastest.
 pub const AUTO_MIN_POINTS: usize = 256;
 
-/// Which local-kernel implementation the pipelines use.
+/// Which local-kernel implementation the pipelines use, and which branch
+/// [`crate::dp::compute_exact`] and [`crate::decision::compute_halo`] take.
 ///
 /// Carried on `PipelineConfig`; the `LSHDDP_KERNEL` environment variable
 /// overrides it at run start (see [`KernelStrategy::resolve`]).
@@ -362,10 +364,13 @@ impl Grid {
         let mut cells = [1i64; 3];
         let mut total = 1f64;
         for d in 0..dim {
-            let c = ((max[d] - min[d]) / w).floor() as i64 + 1;
-            if c > GRID_MAX_CELLS_PER_DIM {
+            // Compared before the cast: a span of 2⁶³ cells or more
+            // (a tiny d_c) would saturate it and overflow the `+ 1`.
+            let span = ((max[d] - min[d]) / w).floor();
+            if span >= GRID_MAX_CELLS_PER_DIM as f64 {
                 return None;
             }
+            let c = span as i64 + 1;
             cells[d] = c;
             total *= c as f64;
         }

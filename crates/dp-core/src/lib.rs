@@ -1,9 +1,11 @@
 //! # dp-core — Density Peaks clustering fundamentals
 //!
-//! This crate implements the data model and the *exact sequential* Density
-//! Peaks (DP) algorithm of Rodriguez & Laio (Science, 2014), which is the
-//! ground truth against which the distributed algorithms in the [`ddp`]
-//! crate (Basic-DDP, LSH-DDP, EDDPC) are validated.
+//! This crate implements the data model and the *exact* single-machine
+//! Density Peaks (DP) algorithm of Rodriguez & Laio (Science, 2014), which
+//! is the ground truth against which the distributed algorithms in the
+//! [`ddp`] crate (Basic-DDP, LSH-DDP, EDDPC) are validated. It runs on a
+//! spatial index across the rayon pool, not as an `O(N²)` loop, wherever
+//! the index applies.
 //!
 //! DP computes two quantities per point `i`:
 //!
@@ -23,7 +25,9 @@
 //! * [`distance`] — metrics and the global distance-computation counter used
 //!   by the paper's Figure 10(c) / Table IV cost accounting;
 //! * [`cutoff`] — `d_c` estimation by distance percentile (paper §III-A);
-//! * [`dp`] — the exact O(N²) sequential algorithm;
+//! * [`dp`] — the exact algorithm, indexed or as a row scan, on the pool;
+//! * [`index`] — the kd-tree/grid [`SpatialIndex`] behind the indexed
+//!   kernels, and the [`KernelStrategy`] that chooses them;
 //! * [`decision`] — decision graph, peak selection, cluster assignment;
 //! * [`quality`] — external cluster validation (ARI, NMI, purity, pairwise
 //!   F-measure) and the paper's approximation metrics `tau1`/`tau2` (§VI-C);
@@ -54,7 +58,6 @@ pub mod cutoff;
 pub mod decision;
 pub mod distance;
 pub mod dp;
-pub mod fast;
 pub mod index;
 pub mod kernel;
 pub mod point;
@@ -69,7 +72,6 @@ pub use distance::{
     DistanceTracker,
 };
 pub use dp::{compute_exact, denser, DpResult, NO_UPSLOPE};
-pub use fast::compute_exact_fast;
 pub use index::{KernelStrategy, SpatialIndex};
 pub use kernel::{compute_gaussian, KernelDpResult};
 pub use point::{Dataset, PointId};

@@ -1,8 +1,11 @@
 //! Property-based tests of the core DP invariants and quality metrics.
 
-use dp_core::dp::NO_UPSLOPE;
-use dp_core::{compute_exact, decision, quality, Dataset};
+use dp_core::decision::compute_halo_with;
+use dp_core::dp::{compute_exact_with, DpResult, NO_UPSLOPE};
+use dp_core::index::AUTO_MIN_POINTS;
+use dp_core::{compute_exact, decision, quality, Dataset, DistanceTracker, KernelStrategy};
 use proptest::prelude::*;
+use std::process::Command;
 
 fn dataset_strategy() -> impl Strategy<Value = (Dataset, f64)> {
     (1usize..=3, 2usize..=50)
@@ -184,17 +187,19 @@ proptest! {
         prop_assert_eq!(abs_peaks, 1);
     }
 
-    /// The triangle-inequality-accelerated path is bit-identical to the
-    /// reference on arbitrary inputs.
+    /// The indexed and row-scan branches agree bit for bit on arbitrary
+    /// half-integer lattice data, where duplicates, equal-distance ties and
+    /// pairs at exactly `d_c` are common.
     #[test]
-    fn fast_path_is_identical((ds, dc) in dataset_strategy(), pivots in 1usize..10) {
-        let slow = compute_exact(&ds, dc);
-        let fast = dp_core::compute_exact_fast(&ds, dc, pivots);
-        prop_assert_eq!(&fast.rho, &slow.rho);
-        prop_assert_eq!(&fast.upslope, &slow.upslope);
-        for (a, b) in fast.delta.iter().zip(&slow.delta) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
+    fn indexed_equals_blocked_on_lattice_data(
+        dim in 1usize..=4,
+        n in 2usize..=80,
+        cells in proptest::collection::vec(-8i32..8, 320),
+        dc in (0u32..2, 0.1f64..6.0, 1u32..12)
+            .prop_map(|(lattice, x, k)| if lattice == 1 { k as f64 * 0.5 } else { x }),
+    ) {
+        let flat = cells[..n * dim].iter().map(|&c| c as f64 * 0.5).collect();
+        assert_branches_agree(&Dataset::from_flat(dim, flat), dc);
     }
 
     /// select_top_k returns k distinct in-range ids (or all points when
@@ -208,4 +213,244 @@ proptest! {
         prop_assert_eq!(set.len(), peaks.len());
         prop_assert!(peaks.iter().all(|&p| (p as usize) < ds.len()));
     }
+}
+
+// ---- differential suite: indexed vs row-scan branches ------------------
+
+/// Exact DP on one branch, with the distance evaluations it charged.
+fn exact_on(ds: &Dataset, dc: f64, kernel: KernelStrategy) -> (DpResult, u64) {
+    let t = DistanceTracker::new();
+    let r = compute_exact_with(ds, dc, &t, kernel);
+    (r, t.total())
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|d| d.to_bits()).collect()
+}
+
+/// Asserts that `compute_exact` and `compute_halo` agree bit for bit
+/// between the indexed and row-scan branches (rho, delta, upslope, halo
+/// flags).
+fn assert_branches_agree(ds: &Dataset, dc: f64) {
+    let (blocked, _) = exact_on(ds, dc, KernelStrategy::Blocked);
+    let (indexed, _) = exact_on(ds, dc, KernelStrategy::Indexed);
+    assert_eq!(indexed.rho, blocked.rho, "rho");
+    assert_eq!(bits(&indexed.delta), bits(&blocked.delta), "delta");
+    assert_eq!(indexed.upslope, blocked.upslope, "upslope");
+    let peaks = decision::select_top_k(&blocked, 3.min(ds.len()));
+    let clustering = decision::assign(&blocked, &peaks);
+    assert_eq!(
+        compute_halo_with(ds, &blocked, &clustering, KernelStrategy::Indexed),
+        compute_halo_with(ds, &blocked, &clustering, KernelStrategy::Blocked),
+        "halo"
+    );
+}
+
+/// `n` points in `dim` dimensions spread over four touching Gaussian-ish
+/// blobs (xorshift noise), so clusters have borders and the index prunes.
+fn blobs(n: usize, dim: usize, seed: u64) -> Dataset {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut ds = Dataset::new(dim);
+    let mut p = vec![0.0; dim];
+    for i in 0..n {
+        for (d, x) in p.iter_mut().enumerate() {
+            let center = if d < 2 {
+                ((i >> d) & 1) as f64 * 6.0
+            } else {
+                0.0
+            };
+            *x = center + (next() + next() + next() - 1.5) * 2.0;
+        }
+        ds.push(&p);
+    }
+    ds
+}
+
+#[test]
+fn branches_agree_on_clustered_data_in_grid_and_kd_dimensions() {
+    let n = AUTO_MIN_POINTS + 44;
+    for dim in [1, 2, 3, 4, 74] {
+        let ds = blobs(n, dim, 11 + dim as u64);
+        // A distance quantile, as the CLI picks d_c: some pair ties it.
+        let dc = dp_core::cutoff::estimate_dc_exact(&ds, 0.03);
+        let index = dp_core::SpatialIndex::build(ds.as_flat(), dim, dc);
+        assert_eq!(index.is_grid(), dim <= 3, "dim {dim}: wrong index layout");
+        assert_branches_agree(&ds, dc);
+    }
+}
+
+#[test]
+fn branches_agree_on_duplicates() {
+    for dim in [2, 4] {
+        // 100 distinct points, each three times: every point ties two
+        // others at distance 0.
+        let base = blobs(100, dim, 5);
+        let mut ds = Dataset::new(dim);
+        for _ in 0..3 {
+            for (_, p) in base.iter() {
+                ds.push(p);
+            }
+        }
+        assert_branches_agree(&ds, 0.8);
+    }
+}
+
+#[test]
+fn branches_agree_on_all_identical_points() {
+    for dim in [1, 4] {
+        let ds = Dataset::from_flat(dim, vec![3.25; dim * AUTO_MIN_POINTS]);
+        assert_branches_agree(&ds, 0.5);
+        let (r, _) = exact_on(&ds, 0.5, KernelStrategy::Indexed);
+        assert!(r.rho.iter().all(|&x| x as usize == AUTO_MIN_POINTS - 1));
+        assert!(r.delta.iter().all(|&d| d == 0.0));
+    }
+}
+
+#[test]
+fn branches_agree_on_two_points() {
+    for dim in [1, 2, 3, 4, 74] {
+        let flat = (0..2 * dim).map(|x| x as f64 * 0.25).collect();
+        let ds = Dataset::from_flat(dim, flat);
+        for dc in [0.1, 1.0, 100.0] {
+            assert_branches_agree(&ds, dc);
+        }
+    }
+}
+
+#[test]
+fn branches_agree_at_extreme_magnitudes() {
+    // Scaled blobs whose squared distances stay finite (1e150), overflow
+    // to infinity (1e200) or underflow to zero (1e-200), with d_c at
+    // the same scale; and a d_c whose square underflows to zero.
+    let base = blobs(60, 3, 17);
+    for scale in [1e150, 1e200, 1e-200] {
+        let flat = base.as_flat().iter().map(|x| x * scale).collect();
+        assert_branches_agree(&Dataset::from_flat(3, flat), scale);
+    }
+    assert_branches_agree(&base, 1e-170);
+}
+
+#[test]
+fn branches_agree_on_collinear_points() {
+    // Equal spacing along (1, 2, -1, 0.5): every neighboring pair is at
+    // the same distance, so delta ties everywhere.
+    let dir = [1.0, 2.0, -1.0, 0.5];
+    for dim in [1, 3, 4] {
+        let mut ds = Dataset::new(dim);
+        for t in 0..300 {
+            let p: Vec<f64> = dir[..dim].iter().map(|&v| v * t as f64).collect();
+            ds.push(&p);
+        }
+        let step = dir[..dim].iter().map(|v| v * v).sum::<f64>().sqrt();
+        for dc in [step, 2.5 * step] {
+            assert_branches_agree(&ds, dc);
+        }
+    }
+}
+
+#[test]
+fn branches_agree_on_lattices_with_equal_distance_ties() {
+    // Integer lattices with d_c at a lattice distance: pairs tie d_c and
+    // many denser points tie as nearest, so the id tie-breaks decide.
+    for (dim, side) in [(1, 300), (2, 17), (3, 7), (4, 5)] {
+        let mut ds = Dataset::new(dim);
+        for k in 0..(side as usize).pow(dim as u32) {
+            let p: Vec<f64> = (0..dim)
+                .map(|d| ((k / (side as usize).pow(d as u32)) % side as usize) as f64)
+                .collect();
+            ds.push(&p);
+        }
+        for dc in [1.0, 2f64.sqrt(), 2.0] {
+            assert_branches_agree(&ds, dc);
+        }
+    }
+}
+
+#[test]
+fn auto_prunes_distance_evaluations_on_clustered_4d_data() {
+    let n = 4 * AUTO_MIN_POINTS;
+    let ds = blobs(n, 4, 3);
+    let dc = 0.8;
+    let (auto, evals) = exact_on(&ds, dc, KernelStrategy::Auto);
+    let (indexed, _) = exact_on(&ds, dc, KernelStrategy::Indexed);
+    assert_eq!(
+        auto, indexed,
+        "Auto takes the index at n >= AUTO_MIN_POINTS"
+    );
+    let all_pairs = 2 * n as u64 * (n as u64 - 1);
+    assert!(
+        evals < all_pairs,
+        "{evals} evaluations, row scan needs {all_pairs}"
+    );
+    assert_branches_agree(&ds, dc);
+}
+
+// ---- the same bits at any pool size ------------------------------------
+
+/// FNV-1a digest of both branches' rho, delta bits, upslope and halo
+/// flags on clustered 2-D (grid) and 4-D (kd-tree) data.
+fn exact_digest() -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for dim in [2, 4] {
+        let ds = blobs(600, dim, 9);
+        for kernel in [KernelStrategy::Blocked, KernelStrategy::Indexed] {
+            let (r, evals) = exact_on(&ds, 0.7, kernel);
+            let peaks = decision::select_top_k(&r, 4);
+            let halo = compute_halo_with(&ds, &r, &decision::assign(&r, &peaks), kernel);
+            eat(evals);
+            r.rho.iter().for_each(|&x| eat(x as u64));
+            r.delta.iter().for_each(|d| eat(d.to_bits()));
+            r.upslope.iter().for_each(|&u| eat(u as u64));
+            halo.iter().for_each(|&f| eat(f as u64));
+        }
+    }
+    h
+}
+
+#[test]
+#[ignore = "helper: spawned as a subprocess with a pinned LSHDDP_THREADS"]
+fn helper_print_exact_digest() {
+    println!("EXACTDIGEST={:016x}", exact_digest());
+}
+
+/// The pool reads `LSHDDP_THREADS` once, so each pool size runs the
+/// helper above in its own process of this test binary.
+fn digest_with_threads(threads: &str) -> String {
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "--exact",
+            "helper_print_exact_digest",
+            "--include-ignored",
+            "--nocapture",
+        ])
+        .env("LSHDDP_THREADS", threads)
+        .output()
+        .expect("spawn helper");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "helper failed: {stdout}");
+    stdout
+        .split("EXACTDIGEST=")
+        .nth(1)
+        .and_then(|s| s.split_whitespace().next())
+        .expect("helper printed a digest")
+        .to_string()
+}
+
+#[test]
+fn exact_and_halo_are_identical_across_thread_counts() {
+    let here = format!("{:016x}", exact_digest());
+    assert_eq!(digest_with_threads("1"), here);
+    assert_eq!(digest_with_threads("4"), here);
 }

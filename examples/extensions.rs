@@ -1,5 +1,5 @@
 //! The extensions beyond the paper's core: Gaussian-kernel densities,
-//! cluster halos, the accelerated sequential path, and fully distributed
+//! cluster halos, the spatial-index exact path, and fully distributed
 //! cluster assignment by pointer jumping.
 //!
 //! ```sh
@@ -46,17 +46,19 @@ fn main() {
         ari(kernel_out.clustering.labels(), &truth)
     );
 
-    // --- 2. The accelerated sequential path (§II-A) -------------------
-    let t_plain = DistanceTracker::new();
-    let _ = dp_core::dp::compute_exact_tracked(&ds, dc, &t_plain);
-    let t_fast = DistanceTracker::new();
-    let fast = dp_core::fast::compute_exact_fast_tracked(&ds, dc, 8, &t_fast);
-    assert_eq!(fast.rho, cutoff.rho, "fast path is bit-identical");
+    // --- 2. Exact DP on the spatial index (§II-A) ----------------------
+    let exact_on = |kernel| {
+        let t = DistanceTracker::new();
+        let r = dp_core::dp::compute_exact_with(&ds, dc, &t, kernel);
+        (r, t.total())
+    };
+    let (rows, rows_dists) = exact_on(dp_core::KernelStrategy::Blocked);
+    let (indexed, indexed_dists) = exact_on(dp_core::KernelStrategy::Indexed);
+    assert_eq!(indexed, rows, "the indexed path is bit-identical");
+    assert_eq!(indexed.rho, cutoff.rho);
     println!(
-        "\ntriangle-inequality filter: {} -> {} distance evaluations ({:.1}x fewer)",
-        t_plain.total(),
-        t_fast.total(),
-        t_plain.total() as f64 / t_fast.total() as f64
+        "\nspatial index: {rows_dists} -> {indexed_dists} distance evaluations ({:.1}x fewer)",
+        rows_dists as f64 / indexed_dists as f64
     );
 
     // --- 3. Halo detection --------------------------------------------

@@ -408,10 +408,24 @@ impl Opts {
         }
     }
 
-    fn resolve_dc(&self, ds: &Dataset) -> f64 {
-        self.dc.unwrap_or_else(|| {
+    /// The cutoff distance: `--dc`, or else the `--percentile` distance
+    /// quantile. Every DP algorithm needs it positive and finite; on
+    /// duplicate-heavy input the quantile is 0.
+    fn resolve_dc(&self, ds: &Dataset) -> Result<f64, String> {
+        let dc = self.dc.unwrap_or_else(|| {
             dp_core::cutoff::estimate_dc_sampled(ds, self.percentile, self.samples, self.seed)
-        })
+        });
+        if dc.is_finite() && dc > 0.0 {
+            Ok(dc)
+        } else if self.dc.is_some() {
+            Err(format!("--dc must be positive and finite, got {dc}"))
+        } else {
+            Err(format!(
+                "d_c must be positive, but the {} distance quantile is {dc} \
+                 (duplicate-heavy input?); pass --dc or a larger --percentile",
+                self.percentile
+            ))
+        }
     }
 }
 
@@ -471,9 +485,8 @@ fn cluster(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
     let out = o.out.as_ref().ok_or("--out is required")?;
-    let dc = o.resolve_dc(ds);
 
-    // K-means is the odd one out (no decision graph).
+    // K-means is the odd one out (no decision graph, no d_c).
     if o.algorithm == "kmeans" {
         let k = o.k.ok_or("--k is required for kmeans")?;
         let fit = KMeans::new(k, o.seed).fit(ds);
@@ -486,6 +499,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
     }
 
     // The DP family: compute (rho, delta), then select + assign.
+    let dc = o.resolve_dc(ds)?;
     let (result, report): (DpResult, Option<ddp::stats::RunReport>) = match o.algorithm.as_str() {
         "exact" => (compute_exact(ds, dc), None),
         "kernel" => (dp_core::compute_gaussian(ds, dc).result, None),
@@ -609,7 +623,7 @@ fn graph(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
     let out = o.out.as_ref().ok_or("--out is required")?;
-    let dc = o.resolve_dc(ds);
+    let dc = o.resolve_dc(ds)?;
     let result = match o.algorithm.as_str() {
         "lsh" => {
             LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed)
@@ -632,7 +646,7 @@ fn graph(o: &Opts) -> Result<(), String> {
 fn tune(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
-    let dc = o.resolve_dc(ds);
+    let dc = o.resolve_dc(ds)?;
     let spec = mapreduce::ClusterSpec::local_cluster();
     let report = ddp::tuning::autotune(ds, dc, o.accuracy, &spec, &RECOMMENDED_GRID, 1000, o.seed)
         .map_err(|e| e.to_string())?;
@@ -668,7 +682,7 @@ fn fit(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
     let out = o.out.as_ref().ok_or("--out is required")?;
-    let dc = o.resolve_dc(ds);
+    let dc = o.resolve_dc(ds)?;
 
     let ddp =
         LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed).map_err(|e| e.to_string())?;

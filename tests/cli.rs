@@ -245,18 +245,29 @@ fn missing_input_is_a_clean_error() {
 /// fails cleanly — an error exit, not a panic (101) — with a message
 /// containing `expect`.
 fn cluster_rejects(name: &str, csv: &str, expect: &str) {
+    rejects(&["cluster"], name, csv, expect);
+}
+
+/// Runs `lshddp <args> --input <csv> --out /dev/null --k 2` and asserts a
+/// clean failure whose stderr contains `expect`.
+fn rejects(args: &[&str], name: &str, csv: &str, expect: &str) {
     let input = tmp(name);
     std::fs::write(&input, csv).unwrap();
     let out = bin()
-        .args(["cluster", "--input"])
+        .args(args)
+        .arg("--input")
         .arg(&input)
         .args(["--out", "/dev/null", "--k", "2"])
         .output()
         .expect("run");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "{name}: must fail");
-    assert_ne!(out.status.code(), Some(101), "{name} panicked: {stderr}");
-    assert!(stderr.contains(expect), "{name}: {stderr}");
+    assert!(!out.status.success(), "{name} {args:?}: must fail");
+    assert_ne!(
+        out.status.code(),
+        Some(101),
+        "{name} {args:?} panicked: {stderr}"
+    );
+    assert!(stderr.contains(expect), "{name} {args:?}: {stderr}");
 }
 
 #[test]
@@ -280,4 +291,43 @@ fn cluster_rejects_an_inf_cell() {
 #[test]
 fn cluster_rejects_a_single_point() {
     cluster_rejects("one.csv", "0.5,0.5\n", "need at least 2 points, got 1");
+}
+
+/// 200 copies of one point plus 5 others: the sampled d_c quantile is 0.
+fn duplicate_heavy_csv() -> String {
+    let mut csv = "0.5,0.5\n".repeat(200);
+    csv.push_str("0,0\n1,0\n0,1\n1,1\n0.25,0.75\n");
+    csv
+}
+
+#[test]
+fn cluster_rejects_a_zero_dc_for_every_algorithm() {
+    for algorithm in ["exact", "basic", "eddpc", "lsh"] {
+        let name = format!("dups-{algorithm}.csv");
+        let args = ["cluster", "--algorithm", algorithm];
+        rejects(&args, &name, &duplicate_heavy_csv(), "quantile is 0");
+        let with_flag = [&args[..], &["--dc", "0"]].concat();
+        rejects(
+            &with_flag,
+            &name,
+            "0,0\n1,1\n2,2\n",
+            "--dc must be positive",
+        );
+    }
+}
+
+#[test]
+fn graph_rejects_a_zero_dc() {
+    for algorithm in ["exact", "lsh"] {
+        let name = format!("dups-graph-{algorithm}.csv");
+        let args = ["graph", "--algorithm", algorithm];
+        rejects(&args, &name, &duplicate_heavy_csv(), "quantile is 0");
+        let with_flag = [&args[..], &["--dc", "0"]].concat();
+        rejects(
+            &with_flag,
+            &name,
+            "0,0\n1,1\n2,2\n",
+            "--dc must be positive",
+        );
+    }
 }
