@@ -134,14 +134,21 @@ struct ElisionBench {
 #[derive(Serialize)]
 struct RecoveryBench {
     description: &'static str,
+    /// Clean wall time, of the median pair below.
     clean_s: f64,
     /// Wall time with ~10% task crashes plus 10% stragglers injected.
     chaos_s: f64,
-    /// Wall time with stage checkpointing on (no faults).
+    /// Wall time with stage checkpointing on (no faults), of the median
+    /// pair.
     checkpoint_s: f64,
-    /// `checkpoint_s / clean_s - 1`; the cost of materializing every
-    /// stage. Negative values are timing noise.
+    /// Clean/checkpointed pairs timed back to back, alternating.
+    checkpoint_pairs: usize,
+    /// `checkpoint_s / clean_s - 1` of the median pair: the cost of
+    /// materializing every stage. Negative values are timing noise.
     checkpoint_overhead_frac: f64,
+    /// The smallest and largest pair's `checkpoint / clean - 1`.
+    checkpoint_overhead_min: f64,
+    checkpoint_overhead_max: f64,
     task_retries: u64,
     straggler_delay_ms: f64,
     /// Bit-identical `(rho, delta, upslope)` between clean and chaos.
@@ -397,6 +404,10 @@ fn plan_elision(n_per_blob: usize) -> ElisionBench {
     }
 }
 
+/// Clean/checkpointed pairs behind the checkpoint tax (odd, so one pair
+/// is the median).
+const CHECKPOINT_PAIRS: usize = 7;
+
 /// The recovery-path costs on the LSH-DDP pipeline: a clean run, a run
 /// under ~10% injected task crashes plus 10% stragglers (retries must be
 /// invisible in the outputs), and a run with stage checkpointing on (the
@@ -426,9 +437,19 @@ fn recovery_overhead(n_per_blob: usize) -> RecoveryBench {
         ..base
     });
 
-    let clean_s = time_calls(3, || clean.run(&ds, BLOB_DC));
     let chaos_s = time_calls(3, || chaotic.run(&ds, BLOB_DC));
-    let checkpoint_s = time_calls(3, || ckpt.run(&ds, BLOB_DC));
+    // Clean and checkpointed timings alternate, so load drift on the
+    // machine hits both halves of a pair alike; the tax is read off the
+    // median pair.
+    let mut pairs: Vec<(f64, f64)> = (0..CHECKPOINT_PAIRS)
+        .map(|_| {
+            let clean_s = time_calls(1, || clean.run(&ds, BLOB_DC));
+            (clean_s, time_calls(1, || ckpt.run(&ds, BLOB_DC)))
+        })
+        .collect();
+    let tax = |(clean_s, checkpoint_s): (f64, f64)| checkpoint_s / clean_s - 1.0;
+    pairs.sort_by(|&a, &b| tax(a).total_cmp(&tax(b)));
+    let (clean_s, checkpoint_s) = pairs[CHECKPOINT_PAIRS / 2];
 
     let r_clean = clean.run(&ds, BLOB_DC);
     let r_chaos = chaotic.run(&ds, BLOB_DC);
@@ -445,7 +466,10 @@ fn recovery_overhead(n_per_blob: usize) -> RecoveryBench {
         clean_s,
         chaos_s,
         checkpoint_s,
+        checkpoint_pairs: CHECKPOINT_PAIRS,
         checkpoint_overhead_frac: checkpoint_s / clean_s - 1.0,
+        checkpoint_overhead_min: tax(pairs[0]),
+        checkpoint_overhead_max: tax(pairs[CHECKPOINT_PAIRS - 1]),
         task_retries: r_chaos.jobs.iter().map(|j| j.task_retries).sum(),
         straggler_delay_ms: r_chaos
             .jobs
@@ -1031,7 +1055,7 @@ fn main() {
 
     eprintln!("bench_summary: threads={threads} smoke={smoke}");
     let summary = Summary {
-        schema: 9,
+        schema: 10,
         mode: if smoke { "smoke" } else { "full" },
         threads,
         // The engine's map phase: one parallel call per job over a
@@ -1111,13 +1135,16 @@ fn main() {
     );
     eprintln!(
         "recovery: clean {:.3}s chaos {:.3}s ({} retries, {:.1} ms straggler delay), \
-         checkpointing {:.3}s ({:+.1}%), outputs_match={}",
+         checkpointing {:.3}s ({:+.1}% median of {} pairs, {:+.1}%..{:+.1}%), outputs_match={}",
         summary.recovery_overhead.clean_s,
         summary.recovery_overhead.chaos_s,
         summary.recovery_overhead.task_retries,
         summary.recovery_overhead.straggler_delay_ms,
         summary.recovery_overhead.checkpoint_s,
         summary.recovery_overhead.checkpoint_overhead_frac * 100.0,
+        summary.recovery_overhead.checkpoint_pairs,
+        summary.recovery_overhead.checkpoint_overhead_min * 100.0,
+        summary.recovery_overhead.checkpoint_overhead_max * 100.0,
         summary.recovery_overhead.outputs_match
     );
     eprintln!(

@@ -21,17 +21,13 @@
 //! distance matrix on the DFS (§III-A, Step 2).
 
 use crate::common::{
-    assemble_delta, dc_sampling_stage, debug_assert_euclidean, flatten_coords, point_records,
-    point_snapshot, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
-    PipelineConfig,
+    assemble_delta, by_id, dc_sampling_stage, flatten_coords, point_records, point_snapshot,
+    IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
-use dp_core::distance::squared_euclidean;
-use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
-use dp_core::{
-    for_each_cross_d2, for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId,
-    SpatialIndex,
-};
+use dp_core::block::{ranks, Block, DeltaPartial};
+use dp_core::dp::DpResult;
+use dp_core::{Dataset, DistanceTracker, KernelStrategy, PointId};
 use mapreduce::{
     plan, Combiner, Driver, Emitter, JobBuilder, JobMetrics, Mapper, ReduceStage, Reducer, Snapshot,
 };
@@ -134,7 +130,7 @@ impl Mapper for BlockMapper {
 }
 
 /// Reducer of the `rho` step: computes partial densities for the anchor's
-/// diagonal and cross pairs.
+/// diagonal and cross pairs, with the kernel decided on the anchor block.
 struct RhoBlockReducer {
     dc: f64,
     kernel: KernelStrategy,
@@ -148,58 +144,19 @@ impl Reducer for RhoBlockReducer {
     type OutValue = u32;
 
     fn reduce(&self, anchor: &u32, points: Vec<BlockedPoint>, out: &mut Emitter<PointId, u32>) {
-        debug_assert_euclidean(&self.tracker);
         let (own, partners): (Vec<_>, Vec<_>) =
             points.into_iter().partition(|(b, _, _)| b == anchor);
-        let mut partials: Vec<(PointId, u32)> = Vec::with_capacity(own.len() + partners.len());
-        let mut own_rho = vec![0u32; own.len()];
-        let mut partner_rho = vec![0u32; partners.len()];
-        let dc2 = self.dc * self.dc;
         let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| c.as_slice()));
         let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
-        if self.kernel.use_indexed(own.len()) && !own.is_empty() {
-            // Indexed kernel: a spatial index over the anchor block answers
-            // both the diagonal ball counts (self-match subtracted) and the
-            // partner cross counts, pruning far subtrees/cells.
-            let index = SpatialIndex::build(&own_flat, dim, self.dc);
-            let mut evals = 0u64;
-            for i in 0..own.len() {
-                let (count, e) = index.range_count_d2(&own_flat[i * dim..][..dim], dc2);
-                evals += e;
-                own_rho[i] = count.saturating_sub(1);
-            }
-            evals += index.cross_range_count_d2(&partner_flat, dc2, |q, i, _| {
-                own_rho[i as usize] += 1;
-                partner_rho[q as usize] += 1;
-            });
-            self.tracker.add(evals);
-        } else {
-            // Diagonal pairs of the anchor block.
-            for_each_pair_d2(&own_flat, dim, |i, j, d2| {
-                if d2 < dc2 {
-                    own_rho[i] += 1;
-                    own_rho[j] += 1;
-                }
-            });
-            self.tracker
-                .add((own.len() * own.len().saturating_sub(1) / 2) as u64);
-            // Cross pairs: each partner point × the anchor block.
-            for_each_cross_d2(&partner_flat, &own_flat, dim, |q, i, d2| {
-                if d2 < dc2 {
-                    own_rho[i] += 1;
-                    partner_rho[q] += 1;
-                }
-            });
-            self.tracker.add((partners.len() * own.len()) as u64);
-        }
-        for ((_, qid, _), r) in partners.iter().zip(partner_rho) {
-            partials.push((*qid, r));
-        }
-        for ((_, pid, _), r) in own.iter().zip(own_rho) {
-            partials.push((*pid, r));
-        }
-        for (id, r) in partials {
-            out.emit(id, r);
+        let block = Block::new(&own_flat, dim, self.dc, self.kernel, &self.tracker);
+        let mut own_rho = block.rho();
+        let partner_rho = block.rho_from(&partner_flat, &mut own_rho);
+        for ((_, id, _), r) in partners
+            .iter()
+            .zip(partner_rho)
+            .chain(own.iter().zip(own_rho))
+        {
+            out.emit(*id, r);
         }
     }
 }
@@ -227,125 +184,13 @@ impl Reducer for SumReducer {
 
 /// Reducer of the `delta` step: nearest denser point among the anchor's
 /// covered pairs, with the full density table broadcast (distributed
-/// cache).
+/// cache). Anchor points search their own block and then the partners;
+/// partner points search the anchor block.
 struct DeltaBlockReducer {
     rho: Arc<Vec<u32>>,
     dc: f64,
     kernel: KernelStrategy,
     tracker: DistanceTracker,
-}
-
-impl DeltaBlockReducer {
-    #[inline]
-    fn consider(&self, partial: &mut DeltaPartial, self_id: PointId, other_id: PointId, d: f64) {
-        partial.2 = partial.2.max(d);
-        if denser(
-            self.rho[other_id as usize],
-            other_id,
-            self.rho[self_id as usize],
-            self_id,
-        ) && (d < partial.0 || (d == partial.0 && other_id < partial.1))
-        {
-            partial.0 = d;
-            partial.1 = other_id;
-        }
-    }
-
-    /// Indexed delta kernel: nearest-denser searches over a spatial index
-    /// per block instead of the all-pairs sweep. The `maxd` slot of a
-    /// partial is only ever consumed downstream when the *merged* upslope
-    /// is [`NO_UPSLOPE`] — which requires every partial to be
-    /// [`NO_UPSLOPE`] — so the exact farthest distance is computed only
-    /// for searches that end empty-handed and `0.0` is emitted otherwise.
-    fn reduce_indexed(
-        &self,
-        own: &[BlockedPoint],
-        partners: &[BlockedPoint],
-        own_flat: &[f64],
-        dim: usize,
-        out: &mut Emitter<PointId, DeltaPartial>,
-    ) {
-        let own_index = SpatialIndex::build(own_flat, dim, self.dc);
-        let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
-        let partner_index =
-            (!partners.is_empty()).then(|| SpatialIndex::build(&partner_flat, dim, self.dc));
-        let mut evals = 0u64;
-        // Descending canonical density order over the anchor block: each
-        // own point past the first is seeded with its predecessor, a
-        // guaranteed-denser candidate (the sorted-rho scan of dp_core::dp).
-        let mut order: Vec<u32> = (0..own.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            let (ia, ib) = (own[a as usize].1, own[b as usize].1);
-            if denser(self.rho[ia as usize], ia, self.rho[ib as usize], ib) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
-        for (pos, &oi) in order.iter().enumerate() {
-            let id = own[oi as usize].1;
-            let q = &own_flat[oi as usize * dim..][..dim];
-            let mut best = (f64::INFINITY, NO_UPSLOPE);
-            if pos > 0 {
-                let si = order[pos - 1] as usize;
-                best = (
-                    squared_euclidean(q, &own_flat[si * dim..][..dim]).sqrt(),
-                    own[si].1,
-                );
-                evals += 1;
-            }
-            let (b, e) = own_index.nearest_denser_d2(q, best, f64::INFINITY, |pi| {
-                let cand = own[pi as usize].1;
-                denser(self.rho[cand as usize], cand, self.rho[id as usize], id).then_some(cand)
-            });
-            evals += e;
-            best = b;
-            if let Some(pidx) = &partner_index {
-                let (b, e) = pidx.nearest_denser_d2(q, best, f64::INFINITY, |pi| {
-                    let cand = partners[pi as usize].1;
-                    denser(self.rho[cand as usize], cand, self.rho[id as usize], id).then_some(cand)
-                });
-                evals += e;
-                best = b;
-            }
-            let maxd = if best.1 == NO_UPSLOPE {
-                let (m, e) = own_index.max_distance(q);
-                evals += e;
-                match &partner_index {
-                    Some(pidx) => {
-                        let (mp, ep) = pidx.max_distance(q);
-                        evals += ep;
-                        m.max(mp)
-                    }
-                    None => m,
-                }
-            } else {
-                0.0
-            };
-            out.emit(id, (best.0, best.1, maxd));
-        }
-        // Partner points only meet the anchor block in this reducer.
-        for (q_i, (_, qid, _)) in partners.iter().enumerate() {
-            let qid = *qid;
-            let q = &partner_flat[q_i * dim..][..dim];
-            let (best, e) =
-                own_index.nearest_denser_d2(q, (f64::INFINITY, NO_UPSLOPE), f64::INFINITY, |pi| {
-                    let cand = own[pi as usize].1;
-                    denser(self.rho[cand as usize], cand, self.rho[qid as usize], qid)
-                        .then_some(cand)
-                });
-            evals += e;
-            let maxd = if best.1 == NO_UPSLOPE {
-                let (m, e) = own_index.max_distance(q);
-                evals += e;
-                m
-            } else {
-                0.0
-            };
-            out.emit(qid, (best.0, best.1, maxd));
-        }
-        self.tracker.add(evals);
-    }
 }
 
 impl Reducer for DeltaBlockReducer {
@@ -360,40 +205,22 @@ impl Reducer for DeltaBlockReducer {
         points: Vec<BlockedPoint>,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
-        debug_assert_euclidean(&self.tracker);
         let (own, partners): (Vec<_>, Vec<_>) =
             points.into_iter().partition(|(b, _, _)| b == anchor);
-        let fresh = || (f64::INFINITY, NO_UPSLOPE, 0.0f64);
-        let mut own_part: Vec<DeltaPartial> = vec![fresh(); own.len()];
         let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| c.as_slice()));
-        if self.kernel.use_indexed(own.len()) && !own.is_empty() {
-            self.reduce_indexed(&own, &partners, &own_flat, dim, out);
-            return;
-        }
-        for_each_pair_d2(&own_flat, dim, |i, j, d2| {
-            let d = d2.sqrt();
-            let (pi, pj) = (own[i].1, own[j].1);
-            // Split borrows: i < j always.
-            let (left, right) = own_part.split_at_mut(j);
-            self.consider(&mut left[i], pi, pj, d);
-            self.consider(&mut right[0], pj, pi, d);
-        });
-        self.tracker
-            .add((own.len() * own.len().saturating_sub(1) / 2) as u64);
         let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
-        let mut partner_part: Vec<DeltaPartial> = vec![fresh(); partners.len()];
-        for_each_cross_d2(&partner_flat, &own_flat, dim, |q, i, d2| {
-            let d = d2.sqrt();
-            let (qid, pid) = (partners[q].1, own[i].1);
-            self.consider(&mut own_part[i], pid, qid, d);
-            self.consider(&mut partner_part[q], qid, pid, d);
-        });
-        self.tracker.add((partners.len() * own.len()) as u64);
-        for ((_, qid, _), part) in partners.iter().zip(partner_part) {
-            out.emit(*qid, part);
-        }
-        for ((_, pid, _), part) in own.iter().zip(own_part) {
-            out.emit(*pid, part);
+        let own_ranks = ranks(own.iter().map(|p| p.1), &self.rho);
+        let partner_ranks = ranks(partners.iter().map(|p| p.1), &self.rho);
+        let block = Block::new(&own_flat, dim, self.dc, self.kernel, &self.tracker);
+        let mut own_parts = block.nearest_denser(&own_ranks, false);
+        let partner_parts =
+            block.nearest_denser_across(&own_ranks, &mut own_parts, &partner_flat, &partner_ranks);
+        for ((_, id, _), part) in partners
+            .iter()
+            .zip(partner_parts)
+            .chain(own.iter().zip(own_parts))
+        {
+            out.emit(*id, part);
         }
     }
 }
@@ -510,11 +337,7 @@ impl BasicDdp {
         let rho_out = driver.run_plan(rho_plan);
 
         // Broadcast the density table (Hadoop's distributed cache).
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
+        let rho = Arc::new(by_id(n, 0, rho_out));
 
         // ---- Jobs 3 + 4: blocked delta partials (same block layout —
         // map+shuffle elided via the retained partitions), then min-merge.
@@ -611,11 +434,7 @@ impl BasicDdp {
         snap(&mut m2, &tracker);
         jobs.push(m2);
 
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
+        let rho = Arc::new(by_id(n, 0, rho_out));
 
         let (delta_partials, mut m3) = JobBuilder::new(
             "basic/delta-block",
@@ -773,27 +592,23 @@ mod tests {
     #[test]
     fn indexed_kernels_bit_identical_to_blocked() {
         let ds = grid_dataset(9, 8); // 72 points across 5 blocks
-        let dc = 1.9;
         let run = |kernel| {
+            let pipeline = PipelineConfig {
+                kernel,
+                ..PipelineConfig::default()
+            };
             BasicDdp::new(BasicConfig {
                 block_size: 16,
-                pipeline: PipelineConfig {
-                    kernel,
-                    ..PipelineConfig::default()
-                },
+                pipeline,
             })
-            .run(&ds, dc)
+            .run(&ds, 1.9)
+            .result
         };
-        let blocked = run(KernelStrategy::Blocked);
-        let indexed = run(KernelStrategy::Indexed);
-        assert_eq!(blocked.result.rho, indexed.result.rho, "rho must match");
-        assert_eq!(
-            blocked.result.upslope, indexed.result.upslope,
-            "upslope must match"
-        );
-        for (a, b) in blocked.result.delta.iter().zip(&indexed.result.delta) {
-            assert_eq!(a.to_bits(), b.to_bits(), "delta must be bit-identical");
-        }
+        let (blocked, indexed) = (run(KernelStrategy::Blocked), run(KernelStrategy::Indexed));
+        assert_eq!(blocked.rho, indexed.rho, "rho must match");
+        assert_eq!(blocked.upslope, indexed.upslope, "upslope must match");
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&blocked.delta), bits(&indexed.delta), "delta bits");
     }
 
     #[test]

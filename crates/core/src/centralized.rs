@@ -56,6 +56,18 @@ pub struct CentralizedOutput {
     pub clustering: Clustering,
 }
 
+/// The peak selection chose no point, so there is nothing to assign to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoPeaks;
+
+impl std::fmt::Display for NoPeaks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("peak selection produced no density peaks")
+    }
+}
+
+impl std::error::Error for NoPeaks {}
+
 /// Runs the centralized step over a distributed `(rho, delta, upslope)`
 /// result.
 #[derive(Debug, Clone)]
@@ -73,8 +85,17 @@ impl CentralizedStep {
     ///
     /// # Panics
     /// Panics if the selection yields no peaks (nothing to assign to) —
-    /// re-run with looser thresholds.
+    /// re-run with looser thresholds. [`Self::try_run`] returns that case
+    /// as an error instead.
     pub fn run(&self, result: &DpResult) -> CentralizedOutput {
+        self.try_run(result)
+            .unwrap_or_else(|e| panic!("{e}; loosen the thresholds"))
+    }
+
+    /// Selects peaks and assigns every point to a cluster, or returns
+    /// [`NoPeaks`] when the selection is empty — as it is when every
+    /// density is 0 and the selection needs a positive one.
+    pub fn try_run(&self, result: &DpResult) -> Result<CentralizedOutput, NoPeaks> {
         let graph = DecisionGraph::from_result(result);
         let peaks = match &self.selection {
             PeakSelection::Threshold { rho_min, delta_min } => {
@@ -109,16 +130,15 @@ impl CentralizedStep {
                 decision::select_by_threshold(result, rho_min, delta_min)
             }
         };
-        assert!(
-            !peaks.is_empty(),
-            "peak selection produced no density peaks; loosen the thresholds"
-        );
+        if peaks.is_empty() {
+            return Err(NoPeaks);
+        }
         let clustering = decision::assign(result, &peaks);
-        CentralizedOutput {
+        Ok(CentralizedOutput {
             graph,
             peaks,
             clustering,
-        }
+        })
     }
 }
 
@@ -172,6 +192,18 @@ mod tests {
         })
         .run(&r);
         assert_eq!(out.peaks.len(), 2);
+    }
+
+    #[test]
+    fn all_zero_densities_are_an_error_not_a_panic() {
+        let ds = blobs();
+        let r = compute_exact(&ds, 1e-20);
+        assert!(r.rho.iter().all(|&x| x == 0));
+        let step = CentralizedStep::new(PeakSelection::DeltaOutliers {
+            k: 2,
+            rho_quantile: 0.25,
+        });
+        assert_eq!(step.try_run(&r).err(), Some(NoPeaks));
     }
 
     #[test]

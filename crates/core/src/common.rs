@@ -1,6 +1,7 @@
 //! Shared plumbing for the three pipelines: configuration, input-record
 //! construction, and the sampled `d_c` preprocessing job (paper §III-A).
 
+use dp_core::block::DeltaPartial;
 use dp_core::dp::NO_UPSLOPE;
 use dp_core::{Dataset, DistanceKind, DistanceTracker, KernelStrategy, PointId};
 use mapreduce::task::{MrKey, MrValue};
@@ -152,12 +153,11 @@ pub fn point_snapshot(ds: &Dataset) -> Snapshot<PointId, Vec<f64>> {
 }
 
 /// Flattens per-point coordinate slices into one row-major buffer for the
-/// blocked distance kernels (`dp_core::for_each_pair_d2` and friends);
+/// local kernels ([`dp_core::block::Block`] and `dp_core::for_each_pair_d2`);
 /// returns the buffer and the dimensionality (1 for an empty input).
 ///
-/// The reducers that route their O(n_p²) loops through the batched
-/// kernels call this once per partition, turning the shuffled
-/// `Vec<Vec<f64>>` rows into the flat SoA layout the kernels tile over.
+/// Every reducer calls this once per partition, turning the shuffled
+/// `Vec<Vec<f64>>` rows into the flat layout the kernels tile over.
 pub(crate) fn flatten_coords<'a>(coords: impl Iterator<Item = &'a [f64]>) -> (Vec<f64>, usize) {
     let mut flat = Vec::new();
     let mut dim = 0usize;
@@ -170,16 +170,19 @@ pub(crate) fn flatten_coords<'a>(coords: impl Iterator<Item = &'a [f64]>) -> (Ve
     (flat, dim.max(1))
 }
 
-/// The routed reducers compute squared Euclidean distances through the
-/// blocked kernels; they must never run under a tracker configured with a
-/// different metric (no pipeline constructs one, asserted in debug).
-#[inline]
-pub(crate) fn debug_assert_euclidean(tracker: &DistanceTracker) {
-    debug_assert_eq!(
-        tracker.kind(),
-        DistanceKind::Euclidean,
-        "blocked-kernel reducers require the Euclidean metric"
-    );
+/// Scatters `(id, value)` rows into a table indexed by point id, `fill`
+/// where no row names the id — how a driver assembles a job's per-point
+/// output for broadcast.
+pub(crate) fn by_id<T: Copy>(
+    n: usize,
+    fill: T,
+    rows: impl IntoIterator<Item = (PointId, T)>,
+) -> Vec<T> {
+    let mut table = vec![fill; n];
+    for (id, v) in rows {
+        table[id as usize] = v;
+    }
+    table
 }
 
 /// Deterministic per-point coin flip used by sampling mappers: keeps point
@@ -193,12 +196,6 @@ pub fn sample_hash(id: PointId, seed: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
-
-/// A partial `delta` record produced by a distance-covering reducer:
-/// `(delta, upslope, max distance seen)`. `delta = +∞` with
-/// `upslope = NO_UPSLOPE` when the reducer met no denser point; the max
-/// distance feeds the absolute density peak's `delta = max_j d_ij`.
-pub type DeltaPartial = (f64, PointId, f64);
 
 /// Merges delta partials: smallest finite delta wins (ties by smaller
 /// upslope id, matching the sequential reference), max distances combine
@@ -328,7 +325,11 @@ impl Reducer for QuantileReducer {
     type OutKey = u8;
     type OutValue = f64;
     fn reduce(&self, _k: &u8, points: Vec<PointRecord>, out: &mut Emitter<u8, f64>) {
-        debug_assert_euclidean(&self.tracker);
+        debug_assert_eq!(
+            self.tracker.kind(),
+            DistanceKind::Euclidean,
+            "the d_c sample computes Euclidean distances"
+        );
         let n = points.len();
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let total_pairs = n * n.saturating_sub(1) / 2;

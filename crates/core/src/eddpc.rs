@@ -26,16 +26,13 @@
 //! exactly the trade-off Table IV of the paper measures.
 
 use crate::common::{
-    assemble_delta, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
+    assemble_delta, by_id, flatten_coords, point_records, point_snapshot, IdentityMapper,
+    MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
-use dp_core::distance::squared_euclidean;
-use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
-use dp_core::{
-    for_each_cross_d2, for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId,
-    SpatialIndex,
-};
+use dp_core::block::{ranks, Block, DeltaPartial, Rank};
+use dp_core::dp::{denser, DpResult};
+use dp_core::{Dataset, DistanceTracker, KernelStrategy, PointId};
 use mapreduce::{plan, Emitter, JobBuilder, JobMetrics, Mapper, ReduceStage, Reducer, Stage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -98,7 +95,6 @@ impl PivotIndex {
         let mut dists = Vec::with_capacity(n * p);
         let mut radii = vec![0.0f64; p];
         for (_, point) in ds.iter() {
-            let row_start = dists.len();
             let mut best = (0u32, f64::INFINITY);
             for (l, c) in pivots.coords.iter().enumerate() {
                 let d = tracker.distance(c, point);
@@ -108,7 +104,6 @@ impl PivotIndex {
                 }
             }
             own.push(best.0);
-            let _ = row_start;
             if best.1 > radii[best.0 as usize] {
                 radii[best.0 as usize] = best.1;
             }
@@ -132,6 +127,19 @@ impl PivotIndex {
     #[inline]
     fn own(&self, id: PointId) -> u32 {
         self.own[id as usize]
+    }
+
+    /// Each cell's densest owner `(rho, id)` in the canonical order, for
+    /// round 2's density filter; `(0, PointId::MAX)` for an empty cell.
+    fn densest_owners(&self, rho: &[u32]) -> Vec<Rank> {
+        let mut cell_max = vec![(0u32, PointId::MAX); self.p];
+        for (i, &cell) in self.own.iter().enumerate() {
+            let (mr, mi) = cell_max[cell as usize];
+            if mi == PointId::MAX || denser(rho[i], i as PointId, mr, mi) {
+                cell_max[cell as usize] = (rho[i], i as PointId);
+            }
+        }
+        cell_max
     }
 }
 
@@ -179,7 +187,9 @@ impl Mapper for RhoVoronoiMapper {
     }
 }
 
-/// Reducer of the rho job: exact density for the cell's owners.
+/// Reducer of the rho job: exact density for the cell's owners, counted
+/// against every point present in the cell (owners and replicas), with the
+/// kernel decided on the whole cell.
 struct RhoVoronoiReducer {
     dc: f64,
     kernel: KernelStrategy,
@@ -193,44 +203,13 @@ impl Reducer for RhoVoronoiReducer {
     type OutValue = u32;
 
     fn reduce(&self, _cell: &u32, points: Vec<CellPoint>, out: &mut Emitter<PointId, u32>) {
-        debug_assert_euclidean(&self.tracker);
-        let owner_idx: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, _, owner))| *owner == 1)
-            .map(|(i, _)| i)
-            .collect();
-        if owner_idx.is_empty() {
+        let owners: Vec<usize> = (0..points.len()).filter(|&i| points[i].2 == 1).collect();
+        if owners.is_empty() {
             return;
         }
-        let (all_flat, dim) = flatten_coords(points.iter().map(|(_, c, _)| c.as_slice()));
-        let (owner_flat, _) = flatten_coords(owner_idx.iter().map(|&i| points[i].1.as_slice()));
-        let dc2 = self.dc * self.dc;
-        let mut rho = vec![0u32; owner_idx.len()];
-        if self.kernel.use_indexed(points.len()) {
-            // Indexed kernel: ball counts over the whole cell; the owner's
-            // self-match (its unique id in the cell, at distance zero) is
-            // subtracted back out.
-            let index = SpatialIndex::build(&all_flat, dim, self.dc);
-            let mut evals = 0u64;
-            for (o, &i) in owner_idx.iter().enumerate() {
-                let (count, e) = index.range_count_d2(&all_flat[i * dim..][..dim], dc2);
-                evals += e;
-                rho[o] = count.saturating_sub(1);
-            }
-            self.tracker.add(evals);
-        } else {
-            for_each_cross_d2(&owner_flat, &all_flat, dim, |o, j, d2| {
-                // Each owner appears exactly once in the cell, so the single
-                // id match is its self-pair.
-                if points[owner_idx[o]].0 != points[j].0 && d2 < dc2 {
-                    rho[o] += 1;
-                }
-            });
-            self.tracker
-                .add((owner_idx.len() * points.len().saturating_sub(1)) as u64);
-        }
-        for (&i, r) in owner_idx.iter().zip(rho) {
+        let (flat, dim) = flatten_coords(points.iter().map(|(_, c, _)| c.as_slice()));
+        let rho = Block::new(&flat, dim, self.dc, self.kernel, &self.tracker).rho_of(&owners);
+        for (&i, r) in owners.iter().zip(rho) {
             out.emit(points[i].0, r);
         }
     }
@@ -252,10 +231,11 @@ impl Mapper for OwnerMapper {
     }
 }
 
-/// Reducer of round 1: nearest denser owner within the cell; also records
-/// the cell radius as a side output under key `u32::MAX - cell` is not
-/// possible here, so radii are computed by the mapper-side pivot distances
-/// in [`Eddpc::run`] instead.
+/// Reducer of round 1: each owner's nearest denser owner within its own
+/// cell, an upper bound `ub_i` on its `delta` that round 2 refines. The
+/// cell's densest owner finds none and records its farthest distance
+/// within the cell. Cell radii are not computed here: the partitioning
+/// pass already holds them ([`PivotIndex::radii`]).
 struct DeltaRound1Reducer {
     rho: Arc<Vec<u32>>,
     dc: f64,
@@ -275,76 +255,11 @@ impl Reducer for DeltaRound1Reducer {
         points: Vec<(PointId, Vec<f64>)>,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
-        debug_assert_euclidean(&self.tracker);
-        let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); points.len()];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
-        if self.kernel.use_indexed(points.len()) && !points.is_empty() {
-            // Indexed kernel: nearest-denser searches seeded by the
-            // descending canonical density order (as in dp_core::dp). The
-            // `maxd` slot is only consumed downstream when every partial
-            // ends [`NO_UPSLOPE`], so the exact farthest distance is
-            // computed only for empty-handed searches.
-            let index = SpatialIndex::build(&flat, dim, self.dc);
-            let mut evals = 0u64;
-            let mut order: Vec<u32> = (0..points.len() as u32).collect();
-            order.sort_by(|&a, &b| {
-                let (ia, ib) = (points[a as usize].0, points[b as usize].0);
-                if denser(self.rho[ia as usize], ia, self.rho[ib as usize], ib) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                }
-            });
-            for (pos, &oi) in order.iter().enumerate() {
-                let id = points[oi as usize].0;
-                let q = &flat[oi as usize * dim..][..dim];
-                let mut init = (f64::INFINITY, NO_UPSLOPE);
-                if pos > 0 {
-                    let si = order[pos - 1] as usize;
-                    init = (
-                        squared_euclidean(q, &flat[si * dim..][..dim]).sqrt(),
-                        points[si].0,
-                    );
-                    evals += 1;
-                }
-                let (b, e) = index.nearest_denser_d2(q, init, f64::INFINITY, |pi| {
-                    let cand = points[pi as usize].0;
-                    denser(self.rho[cand as usize], cand, self.rho[id as usize], id).then_some(cand)
-                });
-                evals += e;
-                let maxd = if b.1 == NO_UPSLOPE {
-                    let (m, e) = index.max_distance(q);
-                    evals += e;
-                    m
-                } else {
-                    0.0
-                };
-                out.emit(id, (b.0, b.1, maxd));
-            }
-            self.tracker.add(evals);
-            return;
-        }
-        // One batched pass over unordered pairs updates both endpoints —
-        // equivalent to the per-point scan (updates are symmetric in d).
-        for_each_pair_d2(&flat, dim, |i, j, d2| {
-            let d = d2.sqrt();
-            let (pi, pj) = (points[i].0, points[j].0);
-            for (slot, me, other) in [(i, pi, pj), (j, pj, pi)] {
-                let b = &mut best[slot];
-                b.2 = b.2.max(d);
-                if denser(self.rho[other as usize], other, self.rho[me as usize], me)
-                    && (d < b.0 || (d == b.0 && other < b.1))
-                {
-                    b.0 = d;
-                    b.1 = other;
-                }
-            }
-        });
-        // The per-point scan measures both directions of every pair.
-        self.tracker
-            .add((points.len() * points.len().saturating_sub(1)) as u64);
-        for ((id, _), b) in points.iter().zip(best) {
-            out.emit(*id, b);
+        let ranks = ranks(points.iter().map(|(id, _)| *id), &self.rho);
+        let block = Block::new(&flat, dim, self.dc, self.kernel, &self.tracker);
+        for ((id, _), part) in points.iter().zip(block.nearest_denser(&ranks, true)) {
+            out.emit(*id, part);
         }
     }
 }
@@ -398,7 +313,9 @@ impl Mapper for DeltaRound2Mapper {
     }
 }
 
-/// Reducer of round 2: finish each visitor's search among the cell owners.
+/// Reducer of round 2: finish each visitor's search among the cell
+/// owners, capped at its round-1 upper bound, with the kernel decided on
+/// the owners.
 struct DeltaRound2Reducer {
     rho: Arc<Vec<u32>>,
     dc: f64,
@@ -418,57 +335,22 @@ impl Reducer for DeltaRound2Reducer {
         points: Vec<Round2Point>,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
-        debug_assert_euclidean(&self.tracker);
         let (owners, visitors): (Vec<_>, Vec<_>) =
             points.into_iter().partition(|(_, _, role, _)| *role == 1);
-        let (visitor_flat, dim) = flatten_coords(visitors.iter().map(|(_, c, _, _)| c.as_slice()));
-        let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _, _)| c.as_slice()));
-        let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); visitors.len()];
-        if self.kernel.use_indexed(owners.len()) && !owners.is_empty() {
-            // Indexed kernel: each visitor finishes its search over the
-            // cell owners, capped at its round-1 upper bound. As in round
-            // 1, the exact farthest distance is only computed when the
-            // search ends empty-handed.
-            let index = SpatialIndex::build(&owner_flat, dim, self.dc);
-            let mut evals = 0u64;
-            for (v, (vid, _, _, ub)) in visitors.iter().enumerate() {
-                let vid = *vid;
-                let q = &visitor_flat[v * dim..][..dim];
-                let (b, e) = index.nearest_denser_d2(q, (f64::INFINITY, NO_UPSLOPE), *ub, |pi| {
-                    let cand = owners[pi as usize].0;
-                    denser(self.rho[cand as usize], cand, self.rho[vid as usize], vid)
-                        .then_some(cand)
-                });
-                evals += e;
-                let maxd = if b.1 == NO_UPSLOPE {
-                    let (m, e) = index.max_distance(q);
-                    evals += e;
-                    m
-                } else {
-                    0.0
-                };
-                out.emit(vid, (b.0, b.1, maxd));
-            }
-            self.tracker.add(evals);
+        if visitors.is_empty() {
             return;
         }
-        for_each_cross_d2(&visitor_flat, &owner_flat, dim, |v, q, d2| {
-            let d = d2.sqrt();
-            let (vid, ub) = (visitors[v].0, visitors[v].3);
-            let qid = owners[q].0;
-            let b = &mut best[v];
-            b.2 = b.2.max(d);
-            if d <= ub
-                && denser(self.rho[qid as usize], qid, self.rho[vid as usize], vid)
-                && (d < b.0 || (d == b.0 && qid < b.1))
-            {
-                b.0 = d;
-                b.1 = qid;
-            }
-        });
-        self.tracker.add((visitors.len() * owners.len()) as u64);
-        for ((vid, _, _, _), b) in visitors.iter().zip(best) {
-            out.emit(*vid, b);
+        // Duplicate pivots leave cells with visitors but no owners, so the
+        // dimension comes from the visitors.
+        let (visitor_flat, dim) = flatten_coords(visitors.iter().map(|(_, c, _, _)| c.as_slice()));
+        let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _, _)| c.as_slice()));
+        let owner_ranks = ranks(owners.iter().map(|p| p.0), &self.rho);
+        let visitor_ranks = ranks(visitors.iter().map(|p| p.0), &self.rho);
+        let caps: Vec<f64> = visitors.iter().map(|p| p.3).collect();
+        let block = Block::new(&owner_flat, dim, self.dc, self.kernel, &self.tracker);
+        let parts = block.nearest_denser_capped(&owner_ranks, &visitor_flat, &visitor_ranks, &caps);
+        for ((id, _, _, _), part) in visitors.iter().zip(parts) {
+            out.emit(*id, part);
         }
     }
 }
@@ -534,11 +416,7 @@ impl Eddpc {
                 .build(),
         );
 
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
+        let rho = Arc::new(by_id(n, 0, rho_out));
 
         // ---- Job 2: delta round 1 (own cell upper bound) ----------------
         let round1 = driver.run_plan(
@@ -563,23 +441,13 @@ impl Eddpc {
                 .build(),
         );
 
-        let mut ub = vec![f64::INFINITY; n];
-        for (id, (d, _, _)) in &round1 {
-            ub[*id as usize] = *d;
-        }
-        let ub = Arc::new(ub);
+        let ub = Arc::new(by_id(
+            n,
+            f64::INFINITY,
+            round1.iter().map(|&(id, p)| (id, p.0)),
+        ));
 
-        // Densest owner per cell (canonical order), for the round-2
-        // density filter.
-        let mut cell_max = vec![(0u32, PointId::MAX); index.p];
-        for i in 0..n as PointId {
-            let cell = index.own(i) as usize;
-            let (mr, mi) = cell_max[cell];
-            if mi == PointId::MAX || denser(rho[i as usize], i, mr, mi) {
-                cell_max[cell] = (rho[i as usize], i);
-            }
-        }
-        let cell_max = Arc::new(cell_max);
+        let cell_max = Arc::new(index.densest_owners(&rho));
 
         // ---- Job 3: delta round 2 (bounded cross-cell refinement) -------
         let round2 = driver.run_plan(
@@ -675,11 +543,7 @@ impl Eddpc {
         snap(&mut m1, &tracker);
         jobs.push(m1);
 
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
+        let rho = Arc::new(by_id(n, 0, rho_out));
 
         let (round1, mut m2) = JobBuilder::new(
             "eddpc/delta-local",
@@ -698,21 +562,13 @@ impl Eddpc {
         snap(&mut m2, &tracker);
         jobs.push(m2);
 
-        let mut ub = vec![f64::INFINITY; n];
-        for (id, (d, _, _)) in &round1 {
-            ub[*id as usize] = *d;
-        }
-        let ub = Arc::new(ub);
+        let ub = Arc::new(by_id(
+            n,
+            f64::INFINITY,
+            round1.iter().map(|&(id, p)| (id, p.0)),
+        ));
 
-        let mut cell_max = vec![(0u32, PointId::MAX); index.p];
-        for i in 0..n as PointId {
-            let cell = index.own(i) as usize;
-            let (mr, mi) = cell_max[cell];
-            if mi == PointId::MAX || denser(rho[i as usize], i, mr, mi) {
-                cell_max[cell] = (rho[i as usize], i);
-            }
-        }
-        let cell_max = Arc::new(cell_max);
+        let cell_max = Arc::new(index.densest_owners(&rho));
 
         let (round2, mut m3) = JobBuilder::new(
             "eddpc/delta-refine",
@@ -829,28 +685,23 @@ mod tests {
     #[test]
     fn indexed_kernels_bit_identical_to_blocked() {
         let ds = blobs(50, 7); // 150 points, 9 Voronoi cells
-        let dc = 0.6;
         let run = |kernel| {
-            Eddpc::new(EddpcConfig {
+            let pipeline = PipelineConfig {
+                kernel,
+                ..PipelineConfig::default()
+            };
+            let config = EddpcConfig {
                 n_pivots: 9,
                 seed: 3,
-                pipeline: PipelineConfig {
-                    kernel,
-                    ..PipelineConfig::default()
-                },
-            })
-            .run(&ds, dc)
+                pipeline,
+            };
+            Eddpc::new(config).run(&ds, 0.6).result
         };
-        let blocked = run(KernelStrategy::Blocked);
-        let indexed = run(KernelStrategy::Indexed);
-        assert_eq!(blocked.result.rho, indexed.result.rho, "rho must match");
-        assert_eq!(
-            blocked.result.upslope, indexed.result.upslope,
-            "upslope must match"
-        );
-        for (a, b) in blocked.result.delta.iter().zip(&indexed.result.delta) {
-            assert_eq!(a.to_bits(), b.to_bits(), "delta must be bit-identical");
-        }
+        let (blocked, indexed) = (run(KernelStrategy::Blocked), run(KernelStrategy::Indexed));
+        assert_eq!(blocked.rho, indexed.rho, "rho must match");
+        assert_eq!(blocked.upslope, indexed.upslope, "upslope must match");
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&blocked.delta), bits(&indexed.delta), "delta bits");
     }
 
     #[test]

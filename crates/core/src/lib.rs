@@ -20,6 +20,10 @@
 //!   triangle-inequality bounded replication, and exact `delta` via a
 //!   two-round bounded search.
 //!
+//! All three compute their local rho and delta through one kernel layer,
+//! [`dp_core::block`]; halos and cluster assignment run centrally on the
+//! result ([`dp_core::compute_halo`], [`centralized::CentralizedStep`]).
+//!
 //! Every pipeline returns a [`stats::RunReport`] carrying the per-job
 //! [`mapreduce::JobMetrics`], the total distance-computation count, and the
 //! assembled [`dp_core::DpResult`], so the benchmark harness can reproduce
@@ -46,24 +50,20 @@
 //! assert!(dp_core::quality::tau2(&exact.rho, &approx.result.rho) > 0.9);
 //! ```
 
-pub mod assign_mr;
 pub mod basic;
 pub mod centralized;
 pub mod common;
 pub mod eddpc;
-pub mod halo_mr;
 pub mod lsh_ddp;
 pub mod stats;
 pub mod tuning;
 
 /// Convenient glob imports for pipeline users.
 pub mod prelude {
-    pub use crate::assign_mr::{assign_distributed, DistributedAssignment};
     pub use crate::basic::{BasicConfig, BasicDdp};
     pub use crate::centralized::{CentralizedStep, PeakSelection};
     pub use crate::common::PipelineConfig;
     pub use crate::eddpc::{Eddpc, EddpcConfig};
-    pub use crate::halo_mr::{compute_halo_distributed, DistributedHalo};
     pub use crate::lsh_ddp::{LshDdp, LshDdpConfig};
     pub use crate::stats::RunReport;
     pub use crate::tuning::{autotune, TuningReport, RECOMMENDED_GRID};

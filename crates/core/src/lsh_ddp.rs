@@ -20,12 +20,13 @@
 //!    max finite `delta` before drawing the decision graph.
 
 use crate::common::{
-    dc_sampling_stage, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    IdentityMapper, PipelineConfig, PointRecord,
+    by_id, dc_sampling_stage, flatten_coords, point_records, point_snapshot, IdentityMapper,
+    PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
-use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
-use dp_core::{for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId, SpatialIndex};
+use dp_core::block::{ranks, Block};
+use dp_core::dp::{DpResult, NO_UPSLOPE};
+use dp_core::{Dataset, DistanceTracker, KernelStrategy, PointId};
 use lsh::tuning::TuningError;
 use lsh::{LshParams, MultiLsh, Signature};
 use mapreduce::{
@@ -127,9 +128,8 @@ impl Mapper for LshPartitionMapper {
 }
 
 /// Reducer of job 1: local density within one partition, processed in
-/// memory-bounded chunks when a `partition_cap` is set. Per chunk, either
-/// the blocked all-pairs kernel or a pruned spatial-index range count —
-/// the results are bit-identical; only the distance-eval count differs.
+/// memory-bounded chunks when a `partition_cap` is set. Each chunk is one
+/// [`Block`], whose kernel is decided on the chunk's size.
 struct LocalRhoReducer {
     dc: f64,
     cap: usize,
@@ -144,34 +144,9 @@ impl Reducer for LocalRhoReducer {
     type OutValue = u32;
 
     fn reduce(&self, _k: &PartitionKey, points: Vec<PointRecord>, out: &mut Emitter<PointId, u32>) {
-        debug_assert_euclidean(&self.tracker);
-        let dc2 = self.dc * self.dc;
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            if self.kernel.use_indexed(chunk.len()) {
-                // rho as a ball count at d_c: the index counts the query
-                // point itself (d² = 0 < d_c²), so subtract it back out.
-                let index = SpatialIndex::build(&flat, dim, self.dc);
-                let mut evals = 0u64;
-                for (i, (id, _)) in chunk.iter().enumerate() {
-                    let (count, e) = index.range_count_d2(&flat[i * dim..][..dim], dc2);
-                    evals += e;
-                    out.emit(*id, count.saturating_sub(1));
-                }
-                self.tracker.add(evals);
-                continue;
-            }
-            let mut rho = vec![0u32; chunk.len()];
-            // Same strict `d² < d_c²` predicate as `DistanceTracker::within`,
-            // batched through the blocked kernel.
-            for_each_pair_d2(&flat, dim, |i, j, d2| {
-                if d2 < dc2 {
-                    rho[i] += 1;
-                    rho[j] += 1;
-                }
-            });
-            self.tracker
-                .add((chunk.len() * chunk.len().saturating_sub(1) / 2) as u64);
+            let rho = Block::new(&flat, dim, self.dc, self.kernel, &self.tracker).rho();
             for ((id, _), r) in chunk.iter().zip(rho) {
                 out.emit(*id, r);
             }
@@ -220,10 +195,8 @@ impl Reducer for MeanReducer {
 type LocalDelta = (f64, PointId);
 
 /// Reducer of job 3: nearest locally-denser point under the broadcast
-/// `rho_hat`, processed in memory-bounded chunks when a cap is set.
-/// Per chunk, either the blocked all-pairs kernel or a best-first
-/// nearest-denser search over a spatial index, seeded by the
-/// sorted-descending-`rho` scan — bit-identical outputs either way.
+/// `rho_hat`, processed in memory-bounded chunks when a cap is set. The
+/// densest point of a chunk keeps `(∞, NO_UPSLOPE)`.
 struct LocalDeltaReducer {
     dc: f64,
     rho: Arc<Vec<u32>>,
@@ -244,67 +217,12 @@ impl Reducer for LocalDeltaReducer {
         points: Vec<PointRecord>,
         out: &mut Emitter<PointId, LocalDelta>,
     ) {
-        debug_assert_euclidean(&self.tracker);
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            if self.kernel.use_indexed(chunk.len()) {
-                let index = SpatialIndex::build(&flat, dim, self.dc);
-                let mut evals = 0u64;
-                // Descending canonical density order (as in dp_core::dp):
-                // each point's predecessor is guaranteed denser and seeds
-                // the search with a finite bound; the densest point of the
-                // chunk stays at (∞, NO_UPSLOPE), exactly like the blocked
-                // loop, which never updates its slot.
-                let mut order: Vec<u32> = (0..chunk.len() as u32).collect();
-                order.sort_by(|&a, &b| {
-                    let (pa, pb) = (chunk[a as usize].0, chunk[b as usize].0);
-                    if denser(self.rho[pa as usize], pa, self.rho[pb as usize], pb) {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
-                });
-                for (pos, &i) in order.iter().enumerate() {
-                    let (id, _) = chunk[i as usize];
-                    if pos == 0 {
-                        out.emit(id, (f64::INFINITY, NO_UPSLOPE));
-                        continue;
-                    }
-                    let q = &flat[i as usize * dim..][..dim];
-                    let seed = order[pos - 1] as usize;
-                    let seed_id = chunk[seed].0;
-                    let seed_d =
-                        dp_core::distance::squared_euclidean(q, &flat[seed * dim..][..dim]).sqrt();
-                    evals += 1;
-                    let (b, e) =
-                        index.nearest_denser_d2(q, (seed_d, seed_id), f64::INFINITY, |pi| {
-                            let pid = chunk[pi as usize].0;
-                            denser(self.rho[pid as usize], pid, self.rho[id as usize], id)
-                                .then_some(pid)
-                        });
-                    evals += e;
-                    out.emit(id, b);
-                }
-                self.tracker.add(evals);
-                continue;
-            }
-            let mut best: Vec<LocalDelta> = vec![(f64::INFINITY, NO_UPSLOPE); chunk.len()];
-            // `d2.sqrt()` is bit-identical to the tracker's Euclidean
-            // `distance`, which is itself `squared_euclidean(..).sqrt()`.
-            for_each_pair_d2(&flat, dim, |i, j, d2| {
-                let d = d2.sqrt();
-                let (pi, pj) = (chunk[i].0, chunk[j].0);
-                let i_denser = denser(self.rho[pi as usize], pi, self.rho[pj as usize], pj);
-                let (slot, cand) = if i_denser { (j, pi) } else { (i, pj) };
-                let b = &mut best[slot];
-                if d < b.0 || (d == b.0 && cand < b.1) {
-                    *b = (d, cand);
-                }
-            });
-            self.tracker
-                .add((chunk.len() * chunk.len().saturating_sub(1) / 2) as u64);
-            for ((id, _), b) in chunk.iter().zip(best) {
-                out.emit(*id, b);
+            let ranks = ranks(chunk.iter().map(|(id, _)| *id), &self.rho);
+            let block = Block::new(&flat, dim, self.dc, self.kernel, &self.tracker);
+            for ((id, _), (d, u, _)) in chunk.iter().zip(block.nearest_denser(&ranks, false)) {
+                out.emit(*id, (d, u));
             }
         }
     }
@@ -567,11 +485,7 @@ impl LshDdp {
         let rho_out = driver.run_plan(rho_plan);
 
         // Broadcast the aggregated densities (distributed-cache style).
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
+        let rho = Arc::new(by_id(n, 0, rho_out));
 
         // ---- Jobs 3 + 4: LSH partition + local delta, min over layouts.
         // Job 3 re-declares the layout contract: same mapper (same seeded
@@ -718,11 +632,7 @@ impl LshDdp {
         snap(&mut m2, &tracker);
         jobs.push(m2);
 
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
+        let rho = Arc::new(by_id(n, 0, rho_out));
 
         let (delta_partials, mut m3) = JobBuilder::new(
             "lsh/delta-local",

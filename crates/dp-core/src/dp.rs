@@ -8,10 +8,10 @@
 //! orthogonal to distributing it. [`compute_exact`] has two branches that
 //! return the same bits, both spread across the rayon pool:
 //!
-//! * **indexed** — one [`SpatialIndex`] over the whole dataset, queried
-//!   once per point: a ball count for `rho`, a nearest-denser search for
-//!   `delta` (after Huang et al., "Faster Parallel Exact Density Peaks
-//!   Clustering"). It evaluates a small fraction of the `N²` distances
+//! * **indexed** — one [`crate::block::Block`] over the whole dataset,
+//!   its spatial index queried once per point: a ball count for `rho`, a
+//!   nearest-denser search for `delta` (after Huang et al., "Faster
+//!   Parallel Exact Density Peaks Clustering"). It evaluates a small fraction of the `N²` distances
 //!   when the index prunes.
 //! * **row scan** — every point against every other, `2·N·(N−1)`
 //!   evaluations; the only branch for non-Euclidean metrics.
@@ -19,12 +19,12 @@
 //! [`KernelStrategy`] picks the branch with the same rule the pipelines'
 //! local kernels use.
 
-use crate::distance::{squared_euclidean, DistanceKind, DistanceTracker};
-use crate::index::{KernelStrategy, SpatialIndex};
+use crate::block::{densest_first, Block, DeltaPartial};
+use crate::distance::{DistanceKind, DistanceTracker};
+use crate::index::KernelStrategy;
 use crate::point::{Dataset, PointId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 
 /// Sentinel upslope id for the absolute density peak (no denser point).
 pub const NO_UPSLOPE: PointId = PointId::MAX;
@@ -157,57 +157,38 @@ pub fn compute_exact_with(
         dc.is_finite() && dc > 0.0,
         "d_c must be positive and finite, got {dc}"
     );
-    if tracker.kind() == DistanceKind::Euclidean && kernel.use_indexed(ds.len()) {
-        exact_indexed(ds, dc, tracker)
-    } else {
-        exact_rows(ds, dc, tracker)
+    if tracker.kind() == DistanceKind::Euclidean {
+        let block = Block::new(ds.as_flat(), ds.dim(), dc, kernel, tracker);
+        if block.is_indexed() {
+            return exact_indexed(&block, dc, tracker);
+        }
     }
+    exact_rows(ds, dc, tracker)
 }
 
-/// The indexed branch: one [`SpatialIndex`] over the whole dataset, one
-/// query per point. `rho` is a ball count at `d_c` (minus the query
-/// itself). `delta` is a nearest-denser search seeded by the point's
-/// predecessor in the descending [`denser`] order, which is denser by
-/// construction; ties resolve to the smaller id exactly as in the row
-/// scan. The first point in that order is the absolute peak, whose
-/// `delta` is its distance to the farthest point.
-fn exact_indexed(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -> DpResult {
-    let n = ds.len();
-    let index = SpatialIndex::build(ds.as_flat(), ds.dim(), dc);
-    let dc2 = dc * dc;
-    let counts: Vec<(u32, u64)> = (0..n as PointId)
-        .into_par_iter()
-        .map(|i| index.range_count_d2(ds.point(i), dc2))
-        .collect();
-    // Every count includes the query itself (d² = 0 < d_c²) unless d_c²
-    // underflows to 0, in which case the count is 0 and so is rho.
-    let rho: Vec<u32> = counts.iter().map(|&(c, _)| c.saturating_sub(1)).collect();
+/// The indexed branch: one [`Block`] over the whole dataset, its per-point
+/// queries spread across the pool. `rho` is a ball count at `d_c` (minus
+/// the query itself). `delta` is the block's seeded nearest-denser search:
+/// seeded by the point's predecessor in the descending [`denser`] order,
+/// ties resolved to the smaller id exactly as in the row scan. The first
+/// point in that order is the absolute peak, whose `delta` is its distance
+/// to the farthest point.
+fn exact_indexed(block: &Block, dc: f64, tracker: &DistanceTracker) -> DpResult {
+    let n = block.len();
+    let counts: Vec<(u32, u64)> = (0..n).into_par_iter().map(|i| block.rho_at(i)).collect();
+    let rho: Vec<u32> = counts.iter().map(|&(r, _)| r).collect();
     let mut evals: u64 = counts.iter().map(|&(_, e)| e).sum();
 
-    let mut order: Vec<PointId> = (0..n as PointId).collect();
-    order.sort_unstable_by_key(|&i| Reverse((rho[i as usize], i)));
-    let found: Vec<(f64, PointId, u64)> = (0..n)
+    let rank = |p: usize| (rho[p], p as PointId);
+    let order = densest_first(n, rank);
+    let found: Vec<(DeltaPartial, u64)> = (0..n)
         .into_par_iter()
-        .map(|pos| {
-            let i = order[pos];
-            let q = ds.point(i);
-            if pos == 0 {
-                let (d, e) = index.max_distance(q);
-                return (d, NO_UPSLOPE, e);
-            }
-            let seed = order[pos - 1];
-            let seed_d = squared_euclidean(q, ds.point(seed)).sqrt();
-            let rho_i = rho[i as usize];
-            let ((d, u), e) = index.nearest_denser_d2(q, (seed_d, seed), f64::INFINITY, |j| {
-                denser(rho[j as usize], j, rho_i, i).then_some(j)
-            });
-            (d, u, e + 1)
-        })
+        .map(|pos| block.nearest_denser_at(&order, pos, rank, true))
         .collect();
     let mut delta = vec![0.0f64; n];
     let mut upslope = vec![NO_UPSLOPE; n];
-    for (&i, (d, u, e)) in order.iter().zip(found) {
-        delta[i as usize] = d;
+    for (&i, ((d, u, maxd), e)) in order.iter().zip(found) {
+        delta[i as usize] = if u == NO_UPSLOPE { maxd } else { d };
         upslope[i as usize] = u;
         evals += e;
     }

@@ -8,9 +8,9 @@
 //! * [`SpatialIndex::range_count_d2`] — `rho` as a ball count at radius
 //!   `d_c`, counting whole subtrees whose box is entirely inside the ball
 //!   and skipping subtrees whose box cannot intersect it;
-//! * [`SpatialIndex::cross_range_count_d2`] / [`SpatialIndex::for_each_within_d2`]
-//!   — halo/partner contributions (`basic`, `eddpc`, `halo`) and the
-//!   serve-side exact recount;
+//! * [`SpatialIndex::for_each_within_d2`] — every point in the ball:
+//!   cross-set counts ([`crate::block`]), the halo, and the serve-side
+//!   exact recount;
 //! * [`SpatialIndex::nearest_denser_d2`] — `delta` as a best-first
 //!   nearest-neighbor search over a caller-supplied candidate filter,
 //!   seeded by each point's predecessor in the descending-`rho` order (as
@@ -335,8 +335,14 @@ struct Grid {
 impl Grid {
     /// Builds the grid, or `None` when the data/d_c make it a bad fit
     /// (non-finite coords, degenerate `d_c`, or too many cells).
+    ///
+    /// A `d_c` whose square is below the normal range is degenerate: the
+    /// shell lower bounds are real-valued distances, while the computed
+    /// `d²` of points that far apart can underflow to 0, so a shell the
+    /// bound prunes may hold an equal-distance smaller-id candidate. The
+    /// kd-tree's bounds are computed like `d²` and underflow with it.
     fn try_build(flat: &[f64], dim: usize, dc: f64) -> Option<Self> {
-        if dim > 3 || !(dc.is_finite() && dc > 0.0) {
+        if dim > 3 || !(dc.is_finite() && dc * dc >= f64::MIN_POSITIVE) {
             return None;
         }
         let n = flat.len() / dim;
@@ -698,22 +704,6 @@ impl SpatialIndex {
         evals
     }
 
-    /// Cross-partition range visit: for each query row in `queries`,
-    /// visits `(query index, point index, d2)` for indexed points with
-    /// `d2 < dc2` (strict). Returns total distance evaluations.
-    pub fn cross_range_count_d2(
-        &self,
-        queries: &[f64],
-        dc2: f64,
-        mut visit: impl FnMut(u32, u32, f64),
-    ) -> u64 {
-        let mut evals = 0u64;
-        for (qi, q) in queries.chunks_exact(self.dim).enumerate() {
-            evals += self.for_each_within_d2(q, dc2, |pi, d2| visit(qi as u32, pi, d2));
-        }
-        evals
-    }
-
     /// Best-first nearest-acceptable-point search in the *metric* domain
     /// (`d = d2.sqrt()`), matching the pipelines' delta kernels.
     ///
@@ -897,7 +887,7 @@ impl SpatialIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::{for_each_cross_d2, for_each_pair_d2};
+    use crate::distance::for_each_pair_d2;
     use crate::dp::{denser, NO_UPSLOPE};
     use proptest::prelude::*;
 
@@ -1000,26 +990,6 @@ mod tests {
             brute.sort_unstable();
             assert_eq!(seen, brute, "i={i}");
         }
-    }
-
-    #[test]
-    fn cross_range_matches_blocked_cross() {
-        let own = blobs(150, 3, 5);
-        let other = blobs(60, 3, 6);
-        let dc = 1.1;
-        let dc2 = dc * dc;
-        let idx = SpatialIndex::build(&own, 3, dc);
-        let mut got: Vec<(u32, u32, u64)> = Vec::new();
-        idx.cross_range_count_d2(&other, dc2, |qi, pi, d2| got.push((qi, pi, d2.to_bits())));
-        let mut want: Vec<(u32, u32, u64)> = Vec::new();
-        for_each_cross_d2(&other, &own, 3, |q, i, d2| {
-            if d2 < dc2 {
-                want.push((q as u32, i as u32, d2.to_bits()));
-            }
-        });
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
     }
 
     /// Brute-force nearest-denser with the pipelines' exact tie rules.

@@ -26,6 +26,9 @@
 //!   by the paper's Figure 10(c) / Table IV cost accounting;
 //! * [`cutoff`] — `d_c` estimation by distance percentile (paper §III-A);
 //! * [`dp`] — the exact algorithm, indexed or as a row scan, on the pool;
+//! * [`block`] — the partition-local rho and delta kernels every
+//!   distributed reducer runs, and the one place that chooses between the
+//!   blocked pair loops and the spatial index;
 //! * [`index`] — the kd-tree/grid [`SpatialIndex`] behind the indexed
 //!   kernels, and the [`KernelStrategy`] that chooses them;
 //! * [`decision`] — decision graph, peak selection, cluster assignment;
@@ -54,6 +57,7 @@
 //! assert_ne!(clusters.label(0), clusters.label(10));
 //! ```
 
+pub mod block;
 pub mod cutoff;
 pub mod decision;
 pub mod distance;

@@ -1,5 +1,6 @@
 //! Property-based tests of the core DP invariants and quality metrics.
 
+use dp_core::block::{ranks, Block, DeltaPartial};
 use dp_core::decision::compute_halo_with;
 use dp_core::dp::{compute_exact_with, DpResult, NO_UPSLOPE};
 use dp_core::index::AUTO_MIN_POINTS;
@@ -228,9 +229,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|d| d.to_bits()).collect()
 }
 
-/// Asserts that `compute_exact` and `compute_halo` agree bit for bit
-/// between the indexed and row-scan branches (rho, delta, upslope, halo
-/// flags).
+/// Asserts that `compute_exact`, `compute_halo` and the local kernel
+/// layer agree bit for bit between the indexed and blocked branches (rho,
+/// delta, upslope, halo flags, and every [`Block`] operation).
 fn assert_branches_agree(ds: &Dataset, dc: f64) {
     let (blocked, _) = exact_on(ds, dc, KernelStrategy::Blocked);
     let (indexed, _) = exact_on(ds, dc, KernelStrategy::Indexed);
@@ -244,6 +245,69 @@ fn assert_branches_agree(ds: &Dataset, dc: f64) {
         compute_halo_with(ds, &blocked, &clustering, KernelStrategy::Blocked),
         "halo"
     );
+    assert_block_ops_agree(ds, &blocked);
+}
+
+/// `(delta bits, upslope, maxd bits)`, with `maxd` kept only where it is
+/// defined: for partials left without an upslope.
+fn settled(parts: &[DeltaPartial]) -> Vec<(u64, u32, u64)> {
+    let maxd = |u, m: f64| if u == NO_UPSLOPE { m.to_bits() } else { 0 };
+    parts
+        .iter()
+        .map(|&(d, u, m)| (d.to_bits(), u, maxd(u, m)))
+        .collect()
+}
+
+/// Every [`Block`] operation, indexed vs blocked: the first half of the
+/// points form the block, the second half the queries, ranked by the exact
+/// densities. Capped searches use each query's exact delta as its cap
+/// (every third one uncapped), so candidates tie the cap.
+fn assert_block_ops_agree(ds: &Dataset, exact: &DpResult) {
+    let (dim, n, dc) = (ds.dim(), ds.len() as u32, exact.dc);
+    let split = n.div_ceil(2);
+    let (block_flat, query_flat) = ds.as_flat().split_at(split as usize * dim);
+    let block_ranks = ranks(0..split, &exact.rho);
+    let query_ranks = ranks(split..n, &exact.rho);
+    let mut caps: Vec<f64> = (split..n).map(|q| exact.delta[q as usize]).collect();
+    caps.iter_mut().step_by(3).for_each(|c| *c = f64::INFINITY);
+    let members: Vec<usize> = (0..split as usize).step_by(2).collect();
+    let run = |kernel| {
+        let t = DistanceTracker::new();
+        let block = Block::new(block_flat, dim, dc, kernel, &t);
+        let mut rho = block.rho();
+        let query_rho = block.rho_from(query_flat, &mut rho);
+        let member_rho = block.rho_of(&members);
+        let with_farthest = block.nearest_denser(&block_ranks, true);
+        let mut parts = block.nearest_denser(&block_ranks, false);
+        let query_parts =
+            block.nearest_denser_across(&block_ranks, &mut parts, query_flat, &query_ranks);
+        let capped = block.nearest_denser_capped(&block_ranks, query_flat, &query_ranks, &caps);
+        (
+            (rho, query_rho, member_rho),
+            (settled(&with_farthest), settled(&parts)),
+            (settled(&query_parts), settled(&capped)),
+        )
+    };
+    assert_eq!(
+        run(KernelStrategy::Indexed),
+        run(KernelStrategy::Blocked),
+        "block operations"
+    );
+}
+
+/// A capped search into an empty block (an EDDPC cell whose pivot copies
+/// another's owns no points) finds nothing and charges nothing.
+#[test]
+fn capped_search_into_an_empty_block_finds_nothing() {
+    let queries = [0.0, 1.0, 2.0, 3.0];
+    let query_ranks = ranks(0..2, &[1, 2]);
+    for kernel in [KernelStrategy::Blocked, KernelStrategy::Indexed] {
+        let t = DistanceTracker::new();
+        let block = Block::new(&[], 2, 1.0, kernel, &t);
+        let parts = block.nearest_denser_capped(&[], &queries, &query_ranks, &[f64::INFINITY; 2]);
+        assert_eq!(parts, [(f64::INFINITY, NO_UPSLOPE, 0.0); 2], "{kernel:?}");
+        assert_eq!(t.total(), 0, "{kernel:?}");
+    }
 }
 
 /// `n` points in `dim` dimensions spread over four touching Gaussian-ish

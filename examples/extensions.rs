@@ -1,6 +1,5 @@
 //! The extensions beyond the paper's core: Gaussian-kernel densities,
-//! cluster halos, the spatial-index exact path, and fully distributed
-//! cluster assignment by pointer jumping.
+//! the spatial-index exact path, and cluster halos.
 //!
 //! ```sh
 //! cargo run --release --example extensions
@@ -67,23 +66,5 @@ fn main() {
         "halo points (boundary/noise, original DP paper's core/halo split): {}/{}",
         halo.iter().filter(|&&h| h).count(),
         ds.len()
-    );
-
-    // --- 4. Distributed assignment by pointer jumping -----------------
-    let dist = assign_distributed(
-        &kernel.result,
-        &kernel_out.peaks,
-        &PipelineConfig::default(),
-    );
-    assert_eq!(
-        dist.clustering.labels(),
-        kernel_out.clustering.labels(),
-        "pointer jumping equals the centralized chain walk"
-    );
-    println!(
-        "distributed assignment: {} pointer-jumping rounds (log-depth), \
-         {} records shuffled",
-        dist.rounds.len(),
-        dist.rounds.iter().map(|m| m.shuffle_records).sum::<u64>()
     );
 }

@@ -8,7 +8,9 @@ by `bench_summary` and fails unless
   bit-identical to the clean run (`outputs_match`),
 * the chaos actually injected something (`task_retries` > 0), and
 * stage checkpointing cost at most `max_frac` over the clean run
-  (default 15%).
+  (default 15%), read as the median ratio over alternating
+  clean/checkpointed pairs; the spread of the pair ratios is printed
+  beside it.
 
 Usage: check_recovery.py <BENCH_perf.json> [max_frac]
 """
@@ -41,13 +43,16 @@ def main() -> int:
               file=sys.stderr)
         return 1
     frac = scenario["checkpoint_overhead_frac"]
+    spread = (f"median of {scenario['checkpoint_pairs']} pairs, "
+              f"range {scenario['checkpoint_overhead_min']:+.1%}.."
+              f"{scenario['checkpoint_overhead_max']:+.1%}")
     if frac > max_frac:
-        print(f"{path}: checkpointing cost {frac:.1%} over the clean run, "
-              f"budget is {max_frac:.0%}", file=sys.stderr)
+        print(f"{path}: checkpointing cost {frac:.1%} over the clean run "
+              f"({spread}), budget is {max_frac:.0%}", file=sys.stderr)
         return 1
     print(f"{path}: chaos outputs bit-identical across {retries} retries "
           f"({scenario['straggler_delay_ms']:.1f} ms straggler delay absorbed), "
-          f"checkpoint overhead {frac:+.1%} (budget {max_frac:.0%})")
+          f"checkpoint overhead {frac:+.1%} ({spread}; budget {max_frac:.0%})")
     return 0
 
 

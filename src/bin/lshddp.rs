@@ -527,14 +527,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
         other => return Err(format!("unknown algorithm {other:?}")),
     };
 
-    let selection = match (o.auto, o.k) {
-        (false, Some(k)) => PeakSelection::DeltaOutliers {
-            k,
-            rho_quantile: 0.25,
-        },
-        _ => PeakSelection::Auto,
-    };
-    let outcome = CentralizedStep::new(selection).run(&result);
+    let outcome = centralize(o, &result)?;
     write_labels(out, outcome.clustering.labels())?;
     println!(
         "{}: d_c = {dc:.6}, {} peaks, {} clusters, wrote {}",
@@ -619,6 +612,34 @@ fn cluster(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// The peak selection `--k`/`--auto` ask for: the `k` largest-delta
+/// points above the density quartile, or the automatic thresholds.
+fn selection(o: &Opts) -> PeakSelection {
+    match (o.auto, o.k) {
+        (false, Some(k)) => PeakSelection::DeltaOutliers {
+            k,
+            rho_quantile: 0.25,
+        },
+        _ => PeakSelection::Auto,
+    }
+}
+
+/// The centralized step over `result`. An empty peak selection is an
+/// error that names d_c: a d_c far below the point spacing leaves every
+/// density 0, and then no point clears the selection's density floor.
+fn centralize(o: &Opts, result: &DpResult) -> Result<ddp::centralized::CentralizedOutput, String> {
+    CentralizedStep::new(selection(o))
+        .try_run(result)
+        .map_err(|e| {
+            let flat = result.rho.iter().filter(|&&r| r == 0).count();
+            format!(
+                "{e} at d_c = {:e}: {flat} of {} points have density 0; raise --dc",
+                result.dc,
+                result.len()
+            )
+        })
+}
+
 fn graph(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
@@ -688,14 +709,7 @@ fn fit(o: &Opts) -> Result<(), String> {
         LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed).map_err(|e| e.to_string())?;
     let params = ddp.config().params;
     let report = ddp.run(ds, dc);
-    let selection = match (o.auto, o.k) {
-        (false, Some(k)) => PeakSelection::DeltaOutliers {
-            k,
-            rho_quantile: 0.25,
-        },
-        _ => PeakSelection::Auto,
-    };
-    let outcome = CentralizedStep::new(selection).run(&report.result);
+    let outcome = centralize(o, &report.result)?;
     let model = ClusterModel::from_run(ds, &report, &outcome, &params, o.seed);
     model.save(out).map_err(|e| e.to_string())?;
     println!(
@@ -881,13 +895,7 @@ fn serve_stream(o: &Opts, full_report: bool) -> Result<(), String> {
 fn open_session(o: &Opts, model: &ClusterModel) -> Result<IngestSession, String> {
     let config = IngestConfig {
         pipeline: o.pipeline(),
-        selection: match (o.auto, o.k) {
-            (false, Some(k)) => PeakSelection::DeltaOutliers {
-                k,
-                rho_quantile: 0.25,
-            },
-            _ => PeakSelection::Auto,
-        },
+        selection: selection(o),
     };
     match o.wal.as_deref() {
         Some(path) => {

@@ -316,6 +316,32 @@ fn cluster_rejects_a_zero_dc_for_every_algorithm() {
     }
 }
 
+/// Three points and a d_c far below their spacing: every density is 0, so
+/// no point clears the peak selection's density floor.
+const SPARSE_CSV: &str = "0,0\n1,1\n2,2\n";
+
+#[test]
+fn cluster_rejects_a_tiny_dc_for_every_algorithm() {
+    for algorithm in ["lsh", "basic", "eddpc", "exact"] {
+        rejects(
+            &["cluster", "--algorithm", algorithm, "--dc", "1e-20"],
+            &format!("tiny-dc-{algorithm}.csv"),
+            SPARSE_CSV,
+            "no density peaks at d_c = 1e-20",
+        );
+    }
+}
+
+#[test]
+fn fit_rejects_a_tiny_dc() {
+    rejects(
+        &["fit", "--dc", "1e-20"],
+        "tiny-dc-fit.csv",
+        SPARSE_CSV,
+        "no density peaks at d_c = 1e-20",
+    );
+}
+
 #[test]
 fn graph_rejects_a_zero_dc() {
     for algorithm in ["exact", "lsh"] {

@@ -4,8 +4,9 @@
 //!
 //! This is the contract that makes the spatial-index kernels a pure
 //! performance optimization: pruning changes *which distances are
-//! evaluated*, never what comes out. The `distances` counters are
-//! deliberately NOT compared — shrinking them is the whole point.
+//! evaluated*, never what comes out. The `distances` counters differ
+//! between the kernels — shrinking them is the whole point — so each is
+//! pinned on its own.
 
 use dp_core::KernelStrategy;
 use lsh_ddp::prelude::*;
@@ -36,84 +37,126 @@ fn workload() -> Dataset {
     datasets::gaussian_mixture(2, 3, 60, 30.0, 1.0, 23).data
 }
 
+const DC: f64 = 1.2;
+
+fn basic(ds: &Dataset, dc: f64, kernel: KernelStrategy) -> ddp::stats::RunReport {
+    BasicDdp::new(BasicConfig {
+        block_size: 24,
+        pipeline: pipe(kernel),
+    })
+    .run(ds, dc)
+}
+
+fn lsh(ds: &Dataset, dc: f64, kernel: KernelStrategy) -> ddp::stats::RunReport {
+    LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
+        params: lsh::LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"),
+        seed: 13,
+        pipeline: pipe(kernel),
+        partition_cap: None,
+        rho_aggregation: Default::default(),
+    })
+    .run(ds, dc)
+}
+
+fn eddpc(ds: &Dataset, dc: f64, kernel: KernelStrategy) -> ddp::stats::RunReport {
+    Eddpc::new(EddpcConfig {
+        n_pivots: 10,
+        seed: 4,
+        pipeline: pipe(kernel),
+    })
+    .run(ds, dc)
+}
+
 #[test]
 fn basic_ddp_indexed_matches_blocked() {
-    let ds = workload();
-    let dc = 1.2;
-    let run = |kernel| {
-        BasicDdp::new(BasicConfig {
-            block_size: 24,
-            pipeline: pipe(kernel),
-        })
-        .run(&ds, dc)
-    };
     assert_results_match(
-        &run(KernelStrategy::Blocked).result,
-        &run(KernelStrategy::Indexed).result,
+        &basic(&workload(), DC, KernelStrategy::Blocked).result,
+        &basic(&workload(), DC, KernelStrategy::Indexed).result,
         "basic",
     );
 }
 
 #[test]
 fn lsh_ddp_indexed_matches_blocked() {
-    let ds = workload();
-    let dc = 1.2;
-    let run = |kernel| {
-        LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
-            params: lsh::LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"),
-            seed: 13,
-            pipeline: pipe(kernel),
-            partition_cap: None,
-            rho_aggregation: Default::default(),
-        })
-        .run(&ds, dc)
-    };
     assert_results_match(
-        &run(KernelStrategy::Blocked).result,
-        &run(KernelStrategy::Indexed).result,
+        &lsh(&workload(), DC, KernelStrategy::Blocked).result,
+        &lsh(&workload(), DC, KernelStrategy::Indexed).result,
         "lsh-ddp",
     );
 }
 
 #[test]
 fn eddpc_indexed_matches_blocked() {
-    let ds = workload();
-    let dc = 1.2;
-    let run = |kernel| {
-        Eddpc::new(EddpcConfig {
-            n_pivots: 10,
-            seed: 4,
-            pipeline: pipe(kernel),
-        })
-        .run(&ds, dc)
-    };
     assert_results_match(
-        &run(KernelStrategy::Blocked).result,
-        &run(KernelStrategy::Indexed).result,
+        &eddpc(&workload(), DC, KernelStrategy::Blocked).result,
+        &eddpc(&workload(), DC, KernelStrategy::Indexed).result,
         "eddpc",
     );
 }
 
+/// The per-job `distances` snapshots of every pipeline under each kernel,
+/// pinned: a refactor of the local kernels must charge exactly what it
+/// evaluates, job by job. EDDPC's blocked `delta-local` charges each of
+/// its cell pairs once (2,020 pairs on this workload).
 #[test]
-fn halo_indexed_matches_blocked() {
-    let ds = workload();
-    let dc = 1.2;
-    let r = compute_exact(&ds, dc);
-    let peaks = dp_core::decision::select_top_k(&r, 3);
-    let clustering = dp_core::decision::assign(&r, &peaks);
-    let cfg = ddp::lsh_ddp::LshDdpConfig {
-        params: lsh::LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"),
-        seed: 13,
-        pipeline: PipelineConfig::default(),
-        partition_cap: None,
-        rho_aggregation: Default::default(),
+fn distance_counts_are_pinned() {
+    let per_job = |r: ddp::stats::RunReport| -> Vec<u64> {
+        let last = r.jobs.last().and_then(|j| j.user.get("distances"));
+        assert_eq!(last, Some(&r.distances), "the last snapshot is the total");
+        r.jobs.iter().map(|j| j.user["distances"]).collect()
     };
-    let run =
-        |kernel| ddp::halo_mr::compute_halo_distributed(&ds, &r, &clustering, &cfg, &pipe(kernel));
-    let blocked = run(KernelStrategy::Blocked);
-    let indexed = run(KernelStrategy::Indexed);
-    assert_eq!(blocked.halo, indexed.halo, "halo flags");
-    assert_eq!(blocked.border_rho, indexed.border_rho, "border densities");
+    let (ds, blocked, indexed) = (workload(), KernelStrategy::Blocked, KernelStrategy::Indexed);
+    assert_eq!(
+        per_job(basic(&ds, DC, blocked)),
+        [16110, 16110, 32220, 32220]
+    );
+    assert_eq!(per_job(basic(&ds, DC, indexed)), [5000, 5000, 15540, 15540]);
+    assert_eq!(per_job(lsh(&ds, DC, blocked)), [20843, 20843, 41686, 41686]);
+    assert_eq!(per_job(lsh(&ds, DC, indexed)), [32532, 32532, 49339, 49339]);
+    assert_eq!(
+        per_job(eddpc(&ds, DC, blocked)),
+        [12112, 14132, 19296, 19296]
+    );
+    assert_eq!(
+        per_job(eddpc(&ds, DC, indexed)),
+        [8795, 10926, 16313, 16313]
+    );
+}
+
+/// 200 copies of one point beside a 9×8 integer lattice. The lattice's
+/// equal distances test tie-breaking across anchors, partners and the
+/// `MinDelta` merge. Most sampled EDDPC pivots are copies of the duplicate,
+/// and all but one such cell is left with no owners yet is visited in
+/// round 2 by every cell's densest owner.
+fn duplicates_beside_a_lattice() -> Dataset {
+    let mut ds = Dataset::new(2);
+    for _ in 0..200 {
+        ds.push(&[0.5, 0.5]);
+    }
+    for x in 0..9 {
+        for y in 0..8 {
+            ds.push(&[x as f64, y as f64]);
+        }
+    }
+    ds
+}
+
+#[test]
+fn all_pipelines_agree_across_kernels_on_duplicates_and_lattice_ties() {
+    let ds = duplicates_beside_a_lattice();
+    let dc = 1.5;
+    type Run = fn(&Dataset, f64, KernelStrategy) -> ddp::stats::RunReport;
+    for (tag, run) in [("basic", basic as Run), ("lsh-ddp", lsh), ("eddpc", eddpc)] {
+        let blocked = run(&ds, dc, KernelStrategy::Blocked).result;
+        assert_results_match(&blocked, &run(&ds, dc, KernelStrategy::Indexed).result, tag);
+        if tag != "lsh-ddp" {
+            assert_results_match(
+                &compute_exact(&ds, dc),
+                &blocked,
+                &format!("{tag} vs exact"),
+            );
+        }
+    }
 }
 
 #[test]

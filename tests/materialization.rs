@@ -49,16 +49,4 @@ fn every_pipeline_materializes_point_records_once() {
     count("eddpc::run", 1, &mut || {
         eddpc.run(&ds, dc);
     });
-
-    let r = compute_exact(&ds, dc);
-    let peaks = dp_core::decision::select_top_k(&r, 3);
-    let clustering = dp_core::decision::assign(&r, &peaks);
-    let cfg = lsh.config().clone();
-    count("halo_mr", 1, &mut || {
-        ddp::halo_mr::compute_halo_distributed(&ds, &r, &clustering, &cfg, &cfg.pipeline.clone());
-    });
-
-    count("assign_mr", 0, &mut || {
-        ddp::assign_mr::assign_distributed(&r, &peaks, &PipelineConfig::default());
-    });
 }

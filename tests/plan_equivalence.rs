@@ -90,61 +90,6 @@ fn eddpc_plan_matches_reference() {
     assert_eq!(plan.shuffle_bytes_saved(), 0);
 }
 
-#[test]
-fn halo_plan_matches_reference() {
-    let ds = workload();
-    let dc = 1.2;
-    let r = compute_exact(&ds, dc);
-    let peaks = dp_core::decision::select_top_k(&r, 3);
-    let clustering = dp_core::decision::assign(&r, &peaks);
-    let cfg = ddp::lsh_ddp::LshDdpConfig {
-        params: lsh::LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"),
-        seed: 13,
-        pipeline: PipelineConfig::default(),
-        partition_cap: None,
-        rho_aggregation: Default::default(),
-    };
-    let plan =
-        ddp::halo_mr::compute_halo_distributed(&ds, &r, &clustering, &cfg, &cfg.pipeline.clone());
-    let reference = ddp::halo_mr::compute_halo_distributed_reference(
-        &ds,
-        &r,
-        &clustering,
-        &cfg,
-        &cfg.pipeline.clone(),
-    );
-    assert_eq!(plan.halo, reference.halo);
-    assert_eq!(plan.border_rho, reference.border_rho);
-    assert_eq!(plan.job.name, reference.job.name);
-    assert_eq!(
-        plan.job.user.get("distances"),
-        reference.job.user.get("distances")
-    );
-}
-
-#[test]
-fn assign_plan_matches_reference() {
-    let ds = workload();
-    let dc = 1.2;
-    let r = compute_exact(&ds, dc);
-    for k in [1usize, 2, 3] {
-        let peaks = dp_core::decision::select_top_k(&r, k);
-        let plan = ddp::assign_mr::assign_distributed(&r, &peaks, &PipelineConfig::default());
-        let reference =
-            ddp::assign_mr::assign_distributed_reference(&r, &peaks, &PipelineConfig::default());
-        assert_eq!(
-            plan.clustering.labels(),
-            reference.clustering.labels(),
-            "k = {k}"
-        );
-        assert_eq!(plan.rounds.len(), reference.rounds.len(), "k = {k}");
-        for (p, rf) in plan.rounds.iter().zip(&reference.rounds) {
-            assert_eq!(p.name, rf.name);
-            assert_eq!(p.shuffle_records, rf.shuffle_records);
-        }
-    }
-}
-
 /// Strategy: a small random dataset (4–40 points, 1–3 dims) in a
 /// bounded box, plus a valid dc.
 fn dataset_strategy() -> impl Strategy<Value = (Dataset, f64)> {
